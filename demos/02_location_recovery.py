@@ -13,6 +13,7 @@ from random import Random
 
 from ridecrypt import (
     BlockParams,
+    IncrementalAttack,
     RideContext,
     ServiceProvider,
     driver_encrypt,
@@ -51,9 +52,10 @@ print(f"{NUM_DRIVERS} drivers responded; the matching party now holds "
 # Watch one position's candidate interval shrink as responses arrive.
 probe = (0, 0)
 print(f"candidate interval for position {probe} after each response:")
-for upto in range(1, NUM_DRIVERS + 1):
-    report = run_attack(params, net.dim, matched[:upto])
-    lo, hi = report.candidates[probe]
+attack = IncrementalAttack(params, net.dim)
+for upto, (k, matches) in enumerate(matched, start=1):
+    attack.feed(k, matches)
+    lo, hi = attack.report().candidates[probe]
     print(f"  {upto:>2} responses: [{lo}, {hi}]"
           + ("  <- unique" if lo == hi else ""))
     if lo == hi:

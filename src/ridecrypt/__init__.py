@@ -9,8 +9,10 @@ embeds nodes, ``codec`` handles block decomposition and payload bytes,
 
 from .attack import (
     DifferenceLedger,
+    IncrementalAttack,
     RecoveryReport,
     deanonymize,
+    embedding_index,
     has_full_coverage,
     recover_block,
     recover_driver_vectors,

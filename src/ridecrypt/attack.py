@@ -8,6 +8,18 @@ differences confine the rider's block to an integer interval; once the
 interval collapses to a point the block is known, and every driver's block
 follows by adding its difference back. No extra protocol messages are
 needed; the input here is exactly the output of honest matching.
+
+The ledger stores the differences twice, each in the shape one question
+needs. Per position it keeps the running minimum, maximum and set of
+distinct differences, which answer "is the rider block pinned?" in O(1),
+plus the differences in arrival order. Per driver it keeps one row of
+``dim * num_blocks`` differences, where position ``(coord, block)`` sits
+at index ``coord * num_blocks + block`` and a position the driver never
+answered holds the int16 minimum, outside every difference range (at most
+``2**8 - 1`` in magnitude). Stacking the rows gives a drivers x positions
+integer matrix, so all driver vectors come back in one vectorised pass.
+Feeding a response costs O(positions) and recovery O(drivers * positions),
+so an attack is linear in what it is fed.
 """
 
 from __future__ import annotations
@@ -18,6 +30,11 @@ from typing import Iterable, Mapping, Sequence
 from .codec import BlockParams, decompose, recompose
 from .errors import LedgerFault
 from .roadnet import RneVector, rne_distance
+
+# Fills a driver row where no difference was recorded. Differences are at
+# most 2**8 - 1 in magnitude (block widths up to 8 bits), so every one fits
+# int16 and this sentinel, the int16 minimum, collides with none.
+_MISSING = -(2**15)
 
 
 def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
@@ -51,64 +68,79 @@ def has_full_coverage(diffs: Iterable[int], block_bits: int) -> bool:
 
 
 class _Cell:
-    """Per-position difference list plus O(1) uniqueness bookkeeping."""
+    """One position's differences in arrival order plus O(1) uniqueness
+    bookkeeping."""
 
-    __slots__ = ("entries", "dmin", "dmax", "distinct")
+    __slots__ = ("diffs", "dmin", "dmax", "distinct")
 
     def __init__(self) -> None:
-        self.entries: list[tuple[int, int]] = []  # (driver_id, difference)
+        self.diffs: list[int] = []
         self.dmin = 0
         self.dmax = 0
         self.distinct: set[int] = set()
 
-    def add(self, driver_id: int, d: int) -> None:
-        if not self.entries:
+    def add(self, d: int) -> None:
+        if not self.diffs:
             self.dmin = self.dmax = d
-        else:
-            self.dmin = min(self.dmin, d)
-            self.dmax = max(self.dmax, d)
-        self.entries.append((driver_id, d))
+        elif d < self.dmin:
+            self.dmin = d
+        elif d > self.dmax:
+            self.dmax = d
+        self.diffs.append(d)
         self.distinct.add(d)
 
 
 class DifferenceLedger:
-    """The service provider's per-position collection of signed block
-    differences across responding drivers. Single writer per session;
-    recovery functions only read it."""
+    """The service provider's collection of signed block differences across
+    responding drivers, by position and by driver. Single writer per
+    session; recovery functions only read it."""
 
     def __init__(self, params: BlockParams, dim: int) -> None:
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.params = params
         self.dim = dim
-        self._cells: dict[tuple[int, int], _Cell] = {}
+        self._base = params.base
+        self._weights = tuple(params.weight(j) for j in range(params.num_blocks))
+        self._cells = [_Cell() for _ in range(dim * params.num_blocks)]
+        self._rows: dict[int, list[int]] = {}
 
     def positions(self) -> list[tuple[int, int]]:
+        """Every (coord, block) position, in row-index order."""
         return [
             (i, j) for i in range(self.dim) for j in range(self.params.num_blocks)
         ]
 
-    def record(self, coord: int, block_index: int, driver_id: int, payload: int) -> None:
-        """File one matched payload. The payload must be an exact multiple
-        of the position weight and normalize to an in-range difference."""
+    def _slot(self, coord: int, block_index: int) -> int:
+        """Row index of a position; rejects positions outside the ledger."""
         if not 0 <= coord < self.dim:
             raise ValueError(f"coordinate {coord} out of range")
-        weight = self.params.weight(block_index)
+        if not 0 <= block_index < self.params.num_blocks:
+            raise ValueError(f"block index {block_index} out of range")
+        return coord * self.params.num_blocks + block_index
+
+    def record(self, coord: int, block_index: int, driver_id: int, payload: int) -> None:
+        """File one matched payload. The payload must be an exact multiple
+        of the position weight and normalize to an in-range difference.
+        A driver's later payload for the same position replaces its row
+        entry; the position keeps both differences."""
+        pos = self._slot(coord, block_index)
+        weight = self._weights[block_index]
         if payload % weight != 0:
             raise LedgerFault(
                 f"payload {payload} at ({coord}, {block_index}) is not a "
                 f"multiple of weight {weight}"
             )
         d = payload // weight
-        top = self.params.base - 1
-        if abs(d) > top:
+        if abs(d) >= self._base:
             raise LedgerFault(
                 f"difference {d} at ({coord}, {block_index}) exceeds block range"
             )
-        cell = self._cells.get((coord, block_index))
-        if cell is None:
-            cell = self._cells[(coord, block_index)] = _Cell()
-        cell.add(driver_id, d)
+        row = self._rows.get(driver_id)
+        if row is None:
+            row = self._rows[driver_id] = [_MISSING] * len(self._cells)
+        row[pos] = d
+        self._cells[pos].add(d)
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
@@ -119,36 +151,49 @@ class DifferenceLedger:
 
     def merge(self, other: "DifferenceLedger") -> None:
         """Fold another ledger for the same rider and parameters into this
-        one (multi-request accumulation; off by default in the harness)."""
+        one (multi-request accumulation): its differences follow this
+        ledger's at every position, and its row entries replace this
+        ledger's for a driver id both hold."""
         if other.params != self.params or other.dim != self.dim:
             raise ValueError("cannot merge ledgers with different parameters")
-        for pos, cell in other._cells.items():
-            for driver_id, d in cell.entries:
-                self.record(pos[0], pos[1], driver_id, d * self.params.weight(pos[1]))
+        for mine, theirs in zip(self._cells, other._cells):
+            for d in tuple(theirs.diffs):
+                mine.add(d)
+        for driver_id, theirs in other._rows.items():
+            mine = self._rows.setdefault(driver_id, [_MISSING] * len(self._cells))
+            for pos, d in enumerate(theirs):
+                if d != _MISSING:
+                    mine[pos] = d
 
     def diffs(self, coord: int, block_index: int) -> list[int]:
-        cell = self._cells.get((coord, block_index))
-        return [d for _, d in cell.entries] if cell else []
+        """Every difference filed at this position, in arrival order."""
+        return list(self._cells[self._slot(coord, block_index)].diffs)
 
     def drivers(self) -> list[int]:
-        ids = {driver_id for cell in self._cells.values() for driver_id, _ in cell.entries}
-        return sorted(ids)
+        return sorted(self._rows)
 
     def driver_diffs(self, driver_id: int) -> dict[tuple[int, int], int]:
         """This driver's difference per position (latest entry if repeated)."""
-        out: dict[tuple[int, int], int] = {}
-        for pos, cell in self._cells.items():
-            for did, d in cell.entries:
-                if did == driver_id:
-                    out[pos] = d
-        return out
+        row = self._rows.get(driver_id)
+        if row is None:
+            return {}
+        return {
+            divmod(pos, self.params.num_blocks): d
+            for pos, d in enumerate(row)
+            if d != _MISSING
+        }
+
+    def driver_rows(self, driver_ids: Sequence[int]) -> list[list[int]]:
+        """The given drivers' rows, in the given order; a position a driver
+        never answered holds the sentinel ``-2**15``. Read only."""
+        return [self._rows[driver_id] for driver_id in driver_ids]
 
     def interval(self, coord: int, block_index: int) -> tuple[int, int]:
         """Current candidate interval; the full range if nothing was seen."""
-        cell = self._cells.get((coord, block_index))
-        if cell is None or not cell.entries:
-            return 0, self.params.base - 1
-        top = self.params.base - 1
+        cell = self._cells[self._slot(coord, block_index)]
+        top = self._base - 1
+        if not cell.diffs:
+            return 0, top
         lo = max(0, -cell.dmin)
         hi = min(top, top - cell.dmax)
         if lo > hi:
@@ -164,11 +209,9 @@ class DifferenceLedger:
         criterion under which the expected-responder counts are computed;
         the default accepts any interval that closed to a point.
         """
-        cell = self._cells.get((coord, block_index))
-        if cell is None or not cell.entries:
-            return False
         if strict:
-            return len(cell.distinct) == self.params.base
+            cell = self._cells[self._slot(coord, block_index)]
+            return len(cell.distinct) == self._base
         lo, hi = self.interval(coord, block_index)
         return lo == hi
 
@@ -207,48 +250,81 @@ def recover_driver_vectors(
     ledger: DifferenceLedger, rider_vector: Sequence[int]
 ) -> dict[int, RneVector]:
     """Given the recovered rider vector, rebuild every responding driver's
-    vector by adding its recorded differences back onto the rider blocks."""
+    vector by adding its recorded differences back onto the rider blocks.
+
+    All drivers are handled in one pass over the stacked ledger rows. A
+    driver that misses a position, or whose block leaves the block range,
+    raises :class:`LedgerFault`; of several, the lowest driver id is
+    reported, and within it the first position.
+    """
+    # numpy is imported here rather than at the top: loading it ahead of
+    # the package's other modules raised the peak RSS of a 60-session grid
+    # run by about 0.3 MB, and only this function needs it.
+    import numpy as np
+
     if len(rider_vector) != ledger.dim:
         raise ValueError("rider vector dimension does not match ledger")
     params = ledger.params
-    rider_blocks = {
-        (i, j): block
-        for i, coordinate in enumerate(rider_vector)
-        for j, block in enumerate(decompose(coordinate, params))
-    }
-    vectors: dict[int, RneVector] = {}
-    for driver_id in ledger.drivers():
-        dmap = ledger.driver_diffs(driver_id)
-        if set(dmap.keys()) != set(ledger.positions()):
+    ids = ledger.drivers()
+    diffs = np.array(ledger.driver_rows(ids), dtype=np.int64).reshape(
+        len(ids), ledger.dim * params.num_blocks
+    )
+    rider_blocks = np.array(
+        [block for coordinate in rider_vector for block in decompose(coordinate, params)],
+        dtype=np.int64,
+    )
+    blocks = diffs + rider_blocks
+    incomplete = (diffs == _MISSING).any(axis=1)
+    out_of_range = (blocks < 0) | (blocks >= params.base)
+    faulty = incomplete | out_of_range.any(axis=1)
+    if faulty.any():
+        row = int(faulty.argmax())
+        driver_id = ids[row]
+        if incomplete[row]:
             raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
-        coords = []
-        for i in range(ledger.dim):
-            blocks = []
-            for j in range(params.num_blocks):
-                block = rider_blocks[(i, j)] + dmap[(i, j)]
-                if not 0 <= block < params.base:
-                    raise LedgerFault(
-                        f"driver {driver_id} block {block} at ({i}, {j}) "
-                        f"is out of range"
-                    )
-                blocks.append(block)
-            coords.append(recompose(blocks, params))
-        vectors[driver_id] = tuple(coords)
-    return vectors
+        pos = int(out_of_range[row].argmax())
+        i, j = divmod(pos, params.num_blocks)
+        raise LedgerFault(
+            f"driver {driver_id} block {int(blocks[row, pos])} at ({i}, {j}) "
+            f"is out of range"
+        )
+    shifts = np.arange(params.num_blocks, dtype=np.int64) * params.block_bits
+    coords = (blocks.reshape(len(ids), ledger.dim, params.num_blocks) << shifts).sum(
+        axis=2
+    )
+    return {driver_id: tuple(row) for driver_id, row in zip(ids, coords.tolist())}
+
+
+def embedding_index(table: Sequence[RneVector]) -> dict[RneVector, tuple[int, int]]:
+    """Map each distinct embedding to ``(lowest node, nodes sharing it)``:
+    the answer :func:`deanonymize` gives for an exact match."""
+    index: dict[RneVector, tuple[int, int]] = {}
+    for node, vector in enumerate(table):
+        key = tuple(vector)
+        hit = index.get(key)
+        index[key] = (node, 1) if hit is None else (hit[0], hit[1] + 1)
+    return index
 
 
 def deanonymize(
-    vector: Sequence[int], table: Sequence[RneVector]
+    vector: Sequence[int],
+    table: Sequence[RneVector],
+    index: Mapping[RneVector, tuple[int, int]] | None = None,
 ) -> tuple[int, int]:
     """Map a recovered vector back to a node of the embedded network.
 
     Returns ``(node, ambiguity)`` where the node's embedding is at minimal
     Chebyshev distance from ``vector`` (distance zero for an exact match),
     the lowest such node id wins, and ``ambiguity`` counts how many nodes
-    tie at that distance.
+    tie at that distance. With ``index`` (from :func:`embedding_index` over
+    the same table), an exact match is a lookup; the scan covers the rest.
     """
     if not table:
         raise ValueError("embedding table is empty")
+    if index is not None:
+        hit = index.get(tuple(vector))
+        if hit is not None:
+            return hit
     best_node = 0
     best_dist = rne_distance(vector, table[0])
     count = 1
@@ -281,6 +357,72 @@ class RecoveryReport:
         return self.rider_vector is not None
 
 
+class IncrementalAttack:
+    """The recovery run as responses arrive: :meth:`feed` files one matched
+    response, :meth:`report` recovers what the responses so far reveal.
+
+    ``unique_at`` records, per position, after how many responses the rider
+    block became unique under the chosen mode. Uniqueness never reverts as
+    differences accumulate, so each response re-checks only the positions
+    still open.
+    """
+
+    def __init__(
+        self,
+        params: BlockParams,
+        dim: int,
+        strict: bool = False,
+        embedding_table: Sequence[RneVector] | None = None,
+    ) -> None:
+        self.ledger = DifferenceLedger(params, dim)
+        self.strict = strict
+        self.embedding_table = embedding_table
+        self.responses = 0
+        self.unique_at: dict[tuple[int, int], int | None] = {
+            pos: None for pos in self.ledger.positions()
+        }
+        self._open = list(self.unique_at)
+        self._index: dict[RneVector, tuple[int, int]] | None = None
+
+    def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
+        """File one ``(driver_id, sp_match_all output)`` response."""
+        self.ledger.record_matches(driver_id, matches)
+        self.responses += 1
+        still_open = []
+        for pos in self._open:
+            if self.ledger.is_unique(*pos, strict=self.strict):
+                self.unique_at[pos] = self.responses
+            else:
+                still_open.append(pos)
+        self._open = still_open
+
+    def report(self) -> RecoveryReport:
+        """Everything recoverable from the responses fed so far."""
+        rider_vector, candidates = recover_rider_vector(self.ledger, strict=self.strict)
+        report = RecoveryReport(
+            strict=self.strict,
+            blocks_total=len(self.unique_at),
+            blocks_recovered=len(self.unique_at) - len(self._open),
+            candidates=candidates,
+            unique_at=dict(self.unique_at),
+            rider_vector=rider_vector,
+        )
+        if rider_vector is not None:
+            report.driver_vectors = recover_driver_vectors(self.ledger, rider_vector)
+            table = self.embedding_table
+            if table is not None:
+                if self._index is None:
+                    self._index = embedding_index(table)
+                report.rider_node, report.rider_ambiguity = deanonymize(
+                    rider_vector, table, self._index
+                )
+                report.driver_nodes = {
+                    driver_id: deanonymize(vec, table, self._index)
+                    for driver_id, vec in report.driver_vectors.items()
+                }
+        return report
+
+
 def run_attack(
     params: BlockParams,
     dim: int,
@@ -292,36 +434,9 @@ def run_attack(
 
     ``matched_responses`` holds ``(driver_id, sp_match_all output)`` pairs,
     i.e. precisely the data the matching party produces while doing its
-    legitimate job. ``unique_at`` records, per position, after how many
-    responses the rider block became unique under the chosen mode.
+    legitimate job.
     """
-    ledger = DifferenceLedger(params, dim)
-    unique_at: dict[tuple[int, int], int | None] = {
-        pos: None for pos in ledger.positions()
-    }
-    for count, (driver_id, matches) in enumerate(matched_responses, start=1):
-        ledger.record_matches(driver_id, matches)
-        for pos, at in unique_at.items():
-            if at is None and ledger.is_unique(*pos, strict=strict):
-                unique_at[pos] = count
-
-    rider_vector, candidates = recover_rider_vector(ledger, strict=strict)
-    report = RecoveryReport(
-        strict=strict,
-        blocks_total=len(unique_at),
-        blocks_recovered=sum(1 for at in unique_at.values() if at is not None),
-        candidates=candidates,
-        unique_at=unique_at,
-        rider_vector=rider_vector,
-    )
-    if rider_vector is not None:
-        report.driver_vectors = recover_driver_vectors(ledger, rider_vector)
-        if embedding_table is not None:
-            report.rider_node, report.rider_ambiguity = deanonymize(
-                rider_vector, embedding_table
-            )
-            report.driver_nodes = {
-                driver_id: deanonymize(vec, embedding_table)
-                for driver_id, vec in report.driver_vectors.items()
-            }
-    return report
+    attack = IncrementalAttack(params, dim, strict, embedding_table)
+    for driver_id, matches in matched_responses:
+        attack.feed(driver_id, matches)
+    return attack.report()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapacityError
+from .errors import CapacityError, LedgerFault, ProtocolFault
 from .harness import (
     MODES,
     ExperimentConfig,
@@ -145,8 +145,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         records = run_experiment(config)
-    except (CapacityError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, LedgerFault, OSError, ProtocolFault, ValueError) as exc:
+        print(
+            f"error: {exc} (mode {args.mode}, seed {args.seed})", file=sys.stderr
+        )
         return 1
 
     path = args.out or default_report_path(args.mode)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attack import RecoveryReport, run_attack
+from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
 from .crypto import PRF_CONSTRUCTION, issue_system_keys
 from .errors import CapacityError
@@ -293,7 +293,15 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     attack_phase = config.mode == "end_to_end"
     seed = config.seed
 
-    merged_matches: list[tuple[int, dict]] = []
+    # With merged requests one attack is fed every session's responses and
+    # reports after each session; driver ids are offset per session.
+    merged = (
+        IncrementalAttack(
+            params, dim, strict=config.strict_lemma, embedding_table=table
+        )
+        if config.merge_requests
+        else None
+    )
     fixed_rider = (
         Random(derive_seed(seed, "rider-node")).randrange(net.num_nodes)
         if config.merge_requests
@@ -355,18 +363,16 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         }
 
         if attack_phase:
-            if config.merge_requests:
-                # Ledger accumulates across requests; ids span sessions, so
-                # the per-driver ground-truth comparison is skipped.
-                merged_matches.extend(
-                    (k + s * drivers, matches) for k, matches in matched
-                )
-                feed = list(merged_matches)
+            if merged is not None:
+                # Ids span sessions, so the per-driver ground-truth
+                # comparison is skipped.
+                for k, matches in matched:
+                    merged.feed(k + s * drivers, matches)
+                report = merged.report()
             else:
-                feed = matched
-            report = run_attack(
-                params, dim, feed, strict=config.strict_lemma, embedding_table=table
-            )
+                report = run_attack(
+                    params, dim, matched, strict=config.strict_lemma, embedding_table=table
+                )
             true_blocks_ok = _intervals_sound(
                 report, table[rider_node], params
             )

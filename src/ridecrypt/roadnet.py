@@ -210,6 +210,17 @@ def parse_network(text: str) -> RoadNetwork:
     if len(header) != 2:
         raise ValueError(f"malformed header {lines[0]!r}, expected 'N M'")
     num_nodes, num_edges = int(header[0]), int(header[1])
+    # Checked before anything is sized from N: a connected graph on N nodes
+    # has at least N - 1 edges, and the edge lines must all be present.
+    if num_nodes < 1:
+        raise ValueError(f"header declares {num_nodes} nodes, need at least 1")
+    if num_edges < 0:
+        raise ValueError(f"header declares {num_edges} edges")
+    if num_nodes > num_edges + 1:
+        raise ValueError(
+            f"header declares {num_nodes} nodes but only {num_edges} edges; "
+            f"a connected network needs at least {num_nodes - 1}"
+        )
     if len(lines) < 1 + num_edges:
         raise ValueError(f"expected {num_edges} edge lines")
     edges = []

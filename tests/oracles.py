@@ -80,3 +80,64 @@ def best_driver(rider_vector, driver_vectors: dict[int, tuple]) -> int:
         driver_vectors,
         key=lambda k: (chebyshev(rider_vector, driver_vectors[k]), k),
     )
+
+
+def reference_attack(params, dim, feed, strict=False):
+    """Recovery recomputed from scratch with plain lists and scans.
+
+    Returns ``(unique_at, candidates, rider_vector, driver_vectors)`` with
+    the meanings of :class:`ridecrypt.attack.RecoveryReport`. Uniqueness is
+    re-derived for every prefix of ``feed``, each position's interval is a
+    feasibility scan, a driver's latest response wins, and coordinates are
+    rebuilt block by block.
+    """
+    base = params.base
+    positions = [(i, j) for i in range(dim) for j in range(params.num_blocks)]
+
+    def per_position(prefix):
+        diffs = {pos: [] for pos in positions}
+        for _, matches in prefix:
+            for (i, j), payload in matches.items():
+                diffs[(i, j)].append(payload // base**j)
+        return diffs
+
+    def unique(diffs):
+        if not diffs:
+            return False
+        if strict:
+            return len(set(diffs)) == base
+        return len(feasible_blocks(diffs, params.block_bits)) == 1
+
+    unique_at = {}
+    for pos in positions:
+        unique_at[pos] = next(
+            (k for k in range(1, len(feed) + 1) if unique(per_position(feed[:k])[pos])),
+            None,
+        )
+    diffs = per_position(feed)
+    candidates = {}
+    for pos in positions:
+        values = feasible_blocks(diffs[pos], params.block_bits)
+        candidates[pos] = (values[0], values[-1])
+    if not all(unique(diffs[pos]) for pos in positions):
+        return unique_at, candidates, None, {}
+
+    def rebuild(blocks):
+        return tuple(
+            sum(
+                blocks[(i, j)] * base**j for j in range(params.num_blocks)
+            )
+            for i in range(dim)
+        )
+
+    rider_blocks = {pos: candidates[pos][0] for pos in positions}
+    latest = {}
+    for driver_id, matches in feed:
+        row = latest.setdefault(driver_id, {})
+        for (i, j), payload in matches.items():
+            row[(i, j)] = payload // base**j
+    driver_vectors = {
+        driver_id: rebuild({pos: rider_blocks[pos] + row[pos] for pos in positions})
+        for driver_id, row in sorted(latest.items())
+    }
+    return unique_at, candidates, rebuild(rider_blocks), driver_vectors

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import feasible_blocks
+from oracles import feasible_blocks, reference_attack
 from ridecrypt.attack import (
     DifferenceLedger,
+    IncrementalAttack,
     deanonymize,
+    embedding_index,
     has_full_coverage,
     recover_block,
     recover_driver_vectors,
@@ -62,6 +64,22 @@ class TestLedgerRecord:
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         with pytest.raises(ValueError):
             ledger.record(1, 0, driver_id=0, payload=0)
+
+    def test_unknown_block_index(self):
+        ledger = DifferenceLedger(BlockParams(2, 2), 1)
+        with pytest.raises(ValueError):
+            ledger.record(0, 2, driver_id=0, payload=0)
+        with pytest.raises(ValueError):
+            ledger.interval(0, 2)
+
+    def test_repeated_driver_keeps_latest_row_entry(self):
+        ledger = DifferenceLedger(BlockParams(2, 1), 1)
+        ledger.record(0, 0, driver_id=4, payload=1)
+        ledger.record(0, 0, driver_id=2, payload=-1)
+        ledger.record(0, 0, driver_id=4, payload=3)
+        assert ledger.diffs(0, 0) == [1, -1, 3]
+        assert ledger.driver_diffs(4) == {(0, 0): 3}
+        assert ledger.drivers() == [2, 4]
 
 
 class TestRecoverBlock:
@@ -183,6 +201,29 @@ class TestRecoverDriverVectors:
         with pytest.raises(LedgerFault):
             recover_driver_vectors(ledger, (5,))
 
+    def test_fault_names_lowest_driver_then_first_position(self):
+        params = BlockParams(2, 1)
+        ledger = DifferenceLedger(params, 2)
+        ledger.record(0, 0, driver_id=9, payload=3)  # 1 + 3 leaves the range
+        ledger.record(1, 0, driver_id=9, payload=0)
+        ledger.record(0, 0, driver_id=5, payload=-2)  # 1 - 2 leaves the range
+        ledger.record(1, 0, driver_id=5, payload=3)
+        ledger.record(0, 0, driver_id=3, payload=0)
+        with pytest.raises(LedgerFault, match="driver 3 has an incomplete"):
+            recover_driver_vectors(ledger, (1, 1))
+        ledger.record(1, 0, driver_id=3, payload=0)
+        with pytest.raises(LedgerFault, match=r"driver 5 block -1 at \(0, 0\)"):
+            recover_driver_vectors(ledger, (1, 1))
+
+    def test_full_width_differences(self):
+        # 8-bit blocks give differences of +-255, beyond an int8 row.
+        params = BlockParams(8, 1)
+        for rider in (0, 255):
+            ledger = DifferenceLedger(params, 1)
+            for k, driver in enumerate((0, 255)):
+                ledger.record_matches(k, honest_matches(params, 1, (rider,), (driver,)))
+            assert recover_driver_vectors(ledger, (rider,)) == {0: (0,), 1: (255,)}
+
     def test_random_instances_match_ground_truth(self):
         rng = random.Random(31)
         params = BlockParams(2, 3)
@@ -226,6 +267,19 @@ class TestDeanonymize:
     def test_empty_table(self):
         with pytest.raises(ValueError):
             deanonymize((1, 2), [])
+        with pytest.raises(ValueError):
+            deanonymize((1, 2), [], {})
+
+    def test_index_lookup_equals_scan(self):
+        for net in (
+            RoadNetwork(3, [(0, 1, 2), (1, 2, 2)], [[1]]),
+            generate_grid_network(4, 4, (1, 3), seed=9, landmarks=2),
+        ):
+            table = net.embedding_table()
+            index = embedding_index(table)
+            probes = set(table) | {tuple(c + 1 for c in vec) for vec in table}
+            for probe in sorted(probes):
+                assert deanonymize(probe, table, index) == deanonymize(probe, table)
 
 
 class TestRunAttack:
@@ -284,6 +338,58 @@ class TestRunAttack:
             assert report.rider_vector == table[rider_node]
             assert report.rider_node is not None
             assert table[report.rider_node] == table[rider_node]
+
+
+class TestIncrementalAttack:
+    @given(st.data())
+    def test_every_prefix_matches_from_scratch(self, data):
+        params = BlockParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        dim = data.draw(st.integers(1, 3))
+        strict = data.draw(st.booleans())
+        vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
+        rider = data.draw(vector)
+        # Few driver ids, so ids repeat and the latest response must win.
+        responses = data.draw(
+            st.lists(st.tuples(st.integers(0, 4), vector), max_size=12)
+        )
+        feed = [(k, honest_matches(params, dim, rider, vec)) for k, vec in responses]
+
+        attack = IncrementalAttack(params, dim, strict)
+        for upto in range(len(feed) + 1):
+            if upto:
+                attack.feed(*feed[upto - 1])
+            expected = reference_attack(params, dim, feed[:upto], strict)
+            for report in (
+                attack.report(),
+                run_attack(params, dim, feed[:upto], strict=strict),
+            ):
+                assert (
+                    report.unique_at,
+                    report.candidates,
+                    report.rider_vector,
+                    report.driver_vectors,
+                ) == expected
+                assert report.blocks_recovered == sum(
+                    at is not None for at in expected[0].values()
+                )
+
+        split = data.draw(st.integers(0, len(feed)))
+        merged, tail = DifferenceLedger(params, dim), DifferenceLedger(params, dim)
+        for k, matches in feed[:split]:
+            merged.record_matches(k, matches)
+        for k, matches in feed[split:]:
+            tail.record_matches(k, matches)
+        merged.merge(tail)
+        whole = attack.ledger
+        assert merged.drivers() == whole.drivers()
+        for pos in whole.positions():
+            assert merged.diffs(*pos) == whole.diffs(*pos)
+        for k in whole.drivers():
+            assert merged.driver_diffs(k) == whole.driver_diffs(k)
+        rider_vector, candidates = recover_rider_vector(merged, strict)
+        assert (rider_vector, candidates) == (expected[2], expected[1])
+        if rider_vector is not None:
+            assert recover_driver_vectors(merged, rider_vector) == expected[3]
 
 
 class TestLedgerMerge:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ridecrypt import cli
 from ridecrypt.cli import main
+from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.roadnet import generate_grid_network, save_network
 
 
@@ -119,6 +121,21 @@ class TestSessionModes:
         )
         assert code == 0
         assert read_records(out)[-1]["network_nodes"] == 6
+
+    @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
+    def test_typed_fault_is_runtime_error(self, fault, tmp_path, monkeypatch, capsys):
+        def raise_fault(config):
+            raise fault("injected")
+
+        monkeypatch.setattr(cli, "run_experiment", raise_fault)
+        code = main(
+            ["--mode", "end_to_end", *self.SMALL, "--out", str(tmp_path / "x.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: injected")
+        assert "mode end_to_end" in err and "seed 3" in err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_missing_network_file_is_runtime_error(self, tmp_path, capsys):
         code = main(

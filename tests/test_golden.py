@@ -1,0 +1,69 @@
+"""Golden report hashes: refactors and optimisations must leave the report
+bytes of these small runs unchanged.
+
+The hashes were taken before the attack layer moved to per-driver ledger
+rows and an incremental merge mode. If a change alters a report on
+purpose, say why where the hash is updated.
+"""
+
+import hashlib
+
+import pytest
+
+from ridecrypt.harness import (
+    ExperimentConfig,
+    dump_records,
+    run_experiment,
+    run_synthetic_sessions,
+)
+
+# 4x4 grid, n=4, l=1: at seed 6 every end_to_end session and all but the
+# first merged session recover the rider, so driver recovery and node
+# identification both run.
+SMALL = dict(rows=4, cols=4, dim=4, block_bits=1, seed=6)
+
+
+def end_to_end():
+    return run_experiment(
+        ExperimentConfig(mode="end_to_end", trials=4, num_drivers=12, **SMALL)
+    )
+
+
+def protocol_only():
+    return run_experiment(
+        ExperimentConfig(mode="protocol_only", trials=4, num_drivers=12, **SMALL)
+    )
+
+
+def merged_end_to_end():
+    return run_experiment(
+        ExperimentConfig(
+            mode="end_to_end", trials=6, num_drivers=6, merge_requests=True, **SMALL
+        )
+    )
+
+
+def strict_synthetic():
+    records, aggregate = run_synthetic_sessions(2, 2, 3, 40, 3, seed=1, strict=True)
+    return records + [aggregate]
+
+
+GOLDEN = [
+    (end_to_end, "359d3e0f482ec636b98a5390012eb45db2ce5c7d29f8f74664aa17158b6320ee"),
+    (protocol_only, "c22dc806d29f4cbdb38b34798ef6be31b75b2db1973556e682cdb915eedf183c"),
+    (merged_end_to_end, "f29e83581118901548d01a4943d5cc216ea79984ab0c9f176b5344ffb987ff5d"),
+    (strict_synthetic, "743c4981dd93be75c7c973625fe2c7eef9266238e73807857788e9ec78b8d805"),
+]
+
+
+@pytest.mark.parametrize("run, digest", GOLDEN, ids=[run.__name__ for run, _ in GOLDEN])
+def test_report_hash_unchanged(run, digest):
+    records = run()
+    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == digest
+
+
+def test_golden_runs_exercise_recovery():
+    # The hashes only guard the attack if the runs reach it.
+    assert end_to_end()[-1]["sessions_rider_exact"] == 4
+    assert merged_end_to_end()[-1]["sessions_rider_exact"] == 5
+    assert strict_synthetic()[-1]["sessions_all_exact"] == 3

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import floyd_warshall
+from ridecrypt import roadnet
 from ridecrypt.roadnet import (
     RoadNetwork,
     format_network,
@@ -200,6 +201,25 @@ class TestNetworkFileFormat:
     def test_missing_subsets(self):
         with pytest.raises(ValueError):
             parse_network("2 1\n0 1 4\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1000000000 0\n0\n",
+            "0 0\n0\n",
+            "2 -1\n0\n",
+            "5 3\n0 1 1\n1 2 1\n2 3 1\n0\n",
+        ],
+    )
+    def test_header_rejected_before_allocation(self, text, monkeypatch):
+        # Nothing may be sized from a header that cannot describe a
+        # connected network: the parser must refuse it on its own.
+        def refuse(*args, **kwargs):
+            raise AssertionError("network built from a rejected header")
+
+        monkeypatch.setattr(roadnet, "RoadNetwork", refuse)
+        with pytest.raises(ValueError, match="header declares"):
+            parse_network(text)
 
     def test_format_matches_parse(self):
         text = format_network(generate_grid_network(2, 2, (1, 3), seed=2, landmarks=2))
