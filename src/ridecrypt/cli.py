@@ -143,16 +143,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
+    path = args.out or default_report_path(args.mode)
     try:
         records = run_experiment(config)
+        write_report(path, records)
     except (CapacityError, LedgerFault, OSError, ProtocolFault, ValueError) as exc:
         print(
             f"error: {exc} (mode {args.mode}, seed {args.seed})", file=sys.stderr
         )
         return 1
 
-    path = args.out or default_report_path(args.mode)
-    write_report(path, records)
     summary = _summarize(records)
     if summary:
         print(summary)

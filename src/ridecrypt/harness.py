@@ -25,7 +25,7 @@ import numpy as np
 from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
 from .crypto import PRF_CONSTRUCTION, issue_system_keys
-from .errors import CapacityError
+from .errors import CapacityError, LedgerFault, ProtocolFault
 from .protocol import (
     RideContext,
     ServiceProvider,
@@ -308,7 +308,7 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         else None
     )
 
-    def one_session(s: int) -> dict:
+    def session_record(s: int) -> dict:
         ctx = RideContext(zone, s % 2**32, params, dim)
         sp = ServiceProvider(ctx)
         if fixed_rider is not None:
@@ -423,6 +423,14 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
                 }
             )
         return record
+
+    def one_session(s: int) -> dict:
+        # A runtime fault keeps its type and gains the session it came from,
+        # which with the mode and seed is enough to reproduce it.
+        try:
+            return session_record(s)
+        except (LedgerFault, ProtocolFault) as exc:
+            raise type(exc)(f"session {s}: {exc}") from exc
 
     if config.workers > 1 and not config.merge_requests:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -5,11 +5,20 @@ landmark subsets. Node ``u`` embeds to the vector whose i-th coordinate is
 the shortest-path distance from ``u`` to the nearest member of subset i;
 the Chebyshev distance between two such vectors never exceeds the true
 road distance, which is what makes it usable as a matching metric.
+
+The network diameter, which sizes the block count ``m``, is exact but not
+all-pairs: each Dijkstra sweep from a node v yields its eccentricity e, and
+the triangle inequality bounds every other node w's eccentricity between
+``max(d(v, w), e - d(v, w))`` and ``e + d(v, w)``. Nodes whose upper bound
+cannot beat the largest eccentricity seen so far are dropped, so a grid
+usually needs a few dozen sweeps instead of one per node, and never more
+than one per node.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -128,13 +137,46 @@ class RoadNetwork:
         return self.embedding_table()[node]
 
     def diameter(self) -> int:
-        """Largest shortest-path distance over all node pairs."""
+        """Largest shortest-path distance over all node pairs, computed once
+        by bounding sweeps (see the module docstring) and cached."""
         if self._diameter is None:
-            best = 0
-            for u in range(self.num_nodes):
-                best = max(best, max(self.distances_from([u])))
-            self._diameter = best
+            self._diameter = self._bounding_diameter()
         return self._diameter
+
+    def _bounding_diameter(self) -> int:
+        # Eccentricity bounding (Takes & Kosters, CIKM 2011). The diameter
+        # is the largest eccentricity, so a node whose upper bound is at most
+        # the largest eccentricity seen so far cannot raise it and is closed.
+        # Every sweep closes its own source, so there are at most N sweeps.
+        lower = [0] * self.num_nodes
+        upper = [math.inf] * self.num_nodes
+        open_nodes = list(range(self.num_nodes))
+        best = 0
+        smallest_ecc = math.inf
+        pick_upper = True
+        while open_nodes:
+            # Alternate between the most promising and the most central open
+            # node; ties go to the lowest id, so the sweeps are deterministic.
+            if pick_upper:
+                v = max(open_nodes, key=lambda w: (upper[w], -w))
+            else:
+                v = min(open_nodes, key=lambda w: (lower[w], w))
+            pick_upper = not pick_upper
+            dist = self.distances_from([v])
+            ecc = max(dist)
+            best = max(best, ecc)
+            smallest_ecc = min(smallest_ecc, ecc)
+            if best >= 2 * smallest_ecc:
+                break  # no pair is farther apart than 2 * ecc(v) for any v
+            still_open = []
+            for w in open_nodes:
+                d = dist[w]
+                lower[w] = max(lower[w], d, ecc - d)
+                upper[w] = min(upper[w], ecc + d)
+                if upper[w] > best:
+                    still_open.append(w)
+            open_nodes = still_open
+        return best
 
 
 def shortest_path_distance(net: RoadNetwork, u: int, v: int) -> int:

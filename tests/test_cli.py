@@ -5,6 +5,7 @@ import pytest
 from ridecrypt import cli
 from ridecrypt.cli import main
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
+from ridecrypt.protocol import ServiceProvider
 from ridecrypt.roadnet import generate_grid_network, save_network
 
 
@@ -136,6 +137,37 @@ class TestSessionModes:
         assert err.startswith("error: injected")
         assert "mode end_to_end" in err and "seed 3" in err
         assert not (tmp_path / "x.jsonl").exists()
+
+    def test_session_fault_names_session(self, tmp_path, monkeypatch, capsys):
+        honest = ServiceProvider.match_response
+
+        def faulty(sp, request, response):
+            if sp.context.time_slot == 2:
+                raise PrfCollisionError("injected")
+            return honest(sp, request, response)
+
+        monkeypatch.setattr(ServiceProvider, "match_response", faulty)
+        code = main(
+            ["--mode", "end_to_end", *self.SMALL, "--trials", "4",
+             "--out", str(tmp_path / "x.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: session 2: injected")
+        assert "mode end_to_end" in err and "seed 3" in err
+
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main(
+            ["--mode", "table1", "--l", "1", "--trials", "100", "--seed", "4",
+             "--out", str(blocker / "r.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "mode table1" in err and "seed 4" in err
+        assert blocker.read_text() == ""
 
     def test_missing_network_file_is_runtime_error(self, tmp_path, capsys):
         code = main(

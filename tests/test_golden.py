@@ -1,9 +1,11 @@
 """Golden report hashes: refactors and optimisations must leave the report
 bytes of these small runs unchanged.
 
-The hashes were taken before the attack layer moved to per-driver ledger
-rows and an incremental merge mode. If a change alters a report on
-purpose, say why where the hash is updated.
+The first four hashes were taken before the attack layer moved to
+per-driver ledger rows and an incremental merge mode; ``zero_weight_grid``
+was taken before the network diameter moved from all-pairs Dijkstra to
+bounding sweeps. If a change alters a report on purpose, say why where the
+hash is updated.
 """
 
 import hashlib
@@ -43,6 +45,22 @@ def merged_end_to_end():
     )
 
 
+def zero_weight_grid():
+    # The aggregate records network_diameter, and m is sized from it; the
+    # 0-weight edges put distinct nodes at distance 0.
+    return run_experiment(
+        ExperimentConfig(
+            mode="protocol_only",
+            rows=24,
+            cols=24,
+            weight_range=(0, 9),
+            trials=1,
+            num_drivers=2,
+            seed=6,
+        )
+    )
+
+
 def strict_synthetic():
     records, aggregate = run_synthetic_sessions(2, 2, 3, 40, 3, seed=1, strict=True)
     return records + [aggregate]
@@ -52,6 +70,7 @@ GOLDEN = [
     (end_to_end, "359d3e0f482ec636b98a5390012eb45db2ce5c7d29f8f74664aa17158b6320ee"),
     (protocol_only, "c22dc806d29f4cbdb38b34798ef6be31b75b2db1973556e682cdb915eedf183c"),
     (merged_end_to_end, "f29e83581118901548d01a4943d5cc216ea79984ab0c9f176b5344ffb987ff5d"),
+    (zero_weight_grid, "8cc4dc3487780e62d4d78e067a631094c4c83b1f9cfa99b541c44fb28c920c0a"),
     (strict_synthetic, "743c4981dd93be75c7c973625fe2c7eef9266238e73807857788e9ec78b8d805"),
 ]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ridecrypt.errors import CapacityError
+from ridecrypt.errors import CapacityError, LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import (
     EXPECTED_DRIVERS,
     ExperimentConfig,
@@ -21,6 +21,7 @@ from ridecrypt.harness import (
     run_table1,
     simulate_coverage_draws,
 )
+from ridecrypt.protocol import ServiceProvider
 from ridecrypt.roadnet import generate_grid_network, save_network
 
 
@@ -227,6 +228,20 @@ class TestSessionRuns:
         assert all(
             r["rider_node"] == records[0]["rider_node"] for r in records
         )
+
+    @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
+    def test_session_fault_keeps_its_type(self, fault, monkeypatch):
+        honest = ServiceProvider.match_response
+
+        def faulty(sp, request, response):
+            if sp.context.time_slot == 1:
+                raise fault("injected")
+            return honest(sp, request, response)
+
+        monkeypatch.setattr(ServiceProvider, "match_response", faulty)
+        with pytest.raises(fault, match="^session 1: injected$") as excinfo:
+            run_sessions(small_config())
+        assert type(excinfo.value) is fault
 
 
 class TestSyntheticSessions:

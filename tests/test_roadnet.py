@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import floyd_warshall
 from ridecrypt import roadnet
+from ridecrypt.harness import derive_seed
 from ridecrypt.roadnet import (
     RoadNetwork,
     format_network,
@@ -112,6 +113,58 @@ class TestShortestPaths:
         net = RoadNetwork(2, [(0, 1, 7)], [[0]])
         with pytest.raises(ValueError):
             shortest_path_distance(net, 0, 9)
+
+
+@st.composite
+def connected_networks(draw):
+    """A connected graph: a path, star, cycle or random spanning tree, plus
+    extra edges that may repeat a pair or loop on one node. Weights include
+    0, so distinct nodes can be at distance 0."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["tree", "path", "star", "cycle"]))
+    weight = st.integers(0, 9)
+    if shape == "path":
+        pairs = [(u - 1, u) for u in range(1, n)]
+    elif shape == "star":
+        pairs = [(0, u) for u in range(1, n)]
+    elif shape == "cycle":
+        pairs = [(u - 1, u) for u in range(1, n)] + ([(n - 1, 0)] if n > 2 else [])
+    else:
+        pairs = [(draw(st.integers(0, u - 1)), u) for u in range(1, n)]
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = [(u, v, draw(weight)) for u, v in pairs]
+    return RoadNetwork(n, edges, [[0]])
+
+
+class TestDiameter:
+    @given(connected_networks())
+    @example(RoadNetwork(1, [], [[0]]))
+    def test_matches_relaxation_oracle(self, net):
+        assert net.diameter() == max(max(row) for row in floyd_warshall(net))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid_with_zero_weights_matches_oracle(self, seed):
+        net = generate_grid_network(9, 9, (0, 9), seed=seed)
+        assert net.diameter() == max(max(row) for row in floyd_warshall(net))
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_city_grid_needs_few_sweeps(self, s, monkeypatch):
+        # Counts Dijkstra runs, not time: all-pairs would make 1,024.
+        net = generate_grid_network(32, 32, (1, 9), seed=derive_seed(s, "network"))
+        calls = []
+        sweep = RoadNetwork.distances_from
+
+        def counted(self, sources):
+            calls.append(sources)
+            return sweep(self, sources)
+
+        monkeypatch.setattr(RoadNetwork, "distances_from", counted)
+        first = net.diameter()
+        assert 1 <= len(calls) <= 64
+        calls.clear()
+        assert net.diameter() == first
+        assert calls == []
 
 
 class TestEmbedding:
