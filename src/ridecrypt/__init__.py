@@ -54,9 +54,7 @@ from .protocol import (
     driver_encrypt,
     rider_encrypt,
     sp_compute_distance,
-    sp_match_all,
     sp_match_block,
-    sp_select_driver,
 )
 from .roadnet import (
     RneVector,
@@ -65,8 +63,6 @@ from .roadnet import (
     load_network,
     parse_network,
     rne_distance,
-    rne_embed,
-    shortest_path_distance,
 )
 
 __version__ = "0.1.0"

@@ -145,25 +145,9 @@ class DifferenceLedger:
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
     ) -> None:
-        """File a whole matched response (the output of ``sp_match_all``)."""
+        """File a whole ``ServiceProvider.match_response`` output."""
         for (coord, block_index), payload in matches.items():
             self.record(coord, block_index, driver_id, payload)
-
-    def merge(self, other: "DifferenceLedger") -> None:
-        """Fold another ledger for the same rider and parameters into this
-        one (multi-request accumulation): its differences follow this
-        ledger's at every position, and its row entries replace this
-        ledger's for a driver id both hold."""
-        if other.params != self.params or other.dim != self.dim:
-            raise ValueError("cannot merge ledgers with different parameters")
-        for mine, theirs in zip(self._cells, other._cells):
-            for d in tuple(theirs.diffs):
-                mine.add(d)
-        for driver_id, theirs in other._rows.items():
-            mine = self._rows.setdefault(driver_id, [_MISSING] * len(self._cells))
-            for pos, d in enumerate(theirs):
-                if d != _MISSING:
-                    mine[pos] = d
 
     def diffs(self, coord: int, block_index: int) -> list[int]:
         """Every difference filed at this position, in arrival order."""
@@ -385,7 +369,7 @@ class IncrementalAttack:
         self._index: dict[RneVector, tuple[int, int]] | None = None
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
-        """File one ``(driver_id, sp_match_all output)`` response."""
+        """File one driver's ``ServiceProvider.match_response`` output."""
         self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         still_open = []
@@ -432,9 +416,9 @@ def run_attack(
 ) -> RecoveryReport:
     """Run the full recovery over matched responses, in arrival order.
 
-    ``matched_responses`` holds ``(driver_id, sp_match_all output)`` pairs,
-    i.e. precisely the data the matching party produces while doing its
-    legitimate job.
+    ``matched_responses`` holds ``(driver_id, matches)`` pairs, ``matches``
+    being the output of ``ServiceProvider.match_response``: precisely the
+    data the matching party produces while doing its legitimate job.
     """
     attack = IncrementalAttack(params, dim, strict, embedding_table)
     for driver_id, matches in matched_responses:

@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="accumulate one ledger across all sessions of a fixed rider",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel workers (same output)"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker threads (same output); --merge-requests runs serially",
     )
     return parser
 
@@ -136,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         strict_lemma=args.strict_lemma,
         merge_requests=args.merge_requests,
         workers=args.workers,
-        out=args.out,
     )
     try:
         config.validate()

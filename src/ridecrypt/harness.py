@@ -24,7 +24,7 @@ import numpy as np
 
 from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
-from .crypto import PRF_CONSTRUCTION, issue_system_keys
+from .crypto import PRF_CONSTRUCTION, SystemKeys, issue_system_keys
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .protocol import (
     RideContext,
@@ -34,6 +34,7 @@ from .protocol import (
     sp_compute_distance,
 )
 from .roadnet import (
+    RneVector,
     RoadNetwork,
     generate_grid_network,
     load_network,
@@ -206,7 +207,6 @@ class ExperimentConfig:
     strict_lemma: bool = False
     merge_requests: bool = False
     workers: int = 1
-    out: str | None = None
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -276,6 +276,88 @@ def _session_params(config: ExperimentConfig, net: RoadNetwork) -> BlockParams:
     return params
 
 
+def _naming_session(build):
+    """Wrap a per-session record builder: a runtime fault keeps its type and
+    gains the session it came from, which with the mode and seed is enough
+    to reproduce it."""
+
+    def one_session(s: int) -> dict:
+        try:
+            return build(s)
+        except (LedgerFault, ProtocolFault) as exc:
+            raise type(exc)(f"session {s}: {exc}") from exc
+
+    return one_session
+
+
+def _session_matches(
+    ctx: RideContext,
+    keys: SystemKeys,
+    rider_vector: RneVector,
+    driver_vectors: Sequence[RneVector],
+    seed: int,
+    path: tuple,
+) -> list[tuple[int, dict[tuple[int, int], int]]]:
+    """One honest matching round: the rider's request, then each driver's
+    response matched by one service provider, in driver-id order.
+
+    Returns the ``(driver_id, matches)`` pairs: the provider's transcript,
+    which is all the attack gets. ``path`` names the session within the
+    run's seeds, e.g. ``("session", s)``.
+    """
+    sp = ServiceProvider(ctx)
+    request = rider_encrypt(
+        rider_vector, keys, ctx, Random(derive_seed(seed, *path, "rider-rng"))
+    )
+    matched = []
+    for k, vector in enumerate(driver_vectors):
+        rng = Random(derive_seed(seed, *path, "driver-rng", k))
+        response = driver_encrypt(k, vector, keys, ctx, rng)
+        matched.append((k, sp.match_response(request, response)))
+    return matched
+
+
+def _recovery_fields(
+    report: RecoveryReport,
+    rider_vector: RneVector,
+    driver_vectors: Sequence[RneVector] | None,
+    params: BlockParams,
+) -> dict:
+    """Record fields that score a recovery against the true vectors.
+    ``driver_vectors`` is ``None`` when the report's driver ids do not
+    index it (merged requests)."""
+    true_blocks = [decompose(coordinate, params) for coordinate in rider_vector]
+    return {
+        "blocks_total": report.blocks_total,
+        "blocks_recovered": report.blocks_recovered,
+        "rider_vector_recovered": report.rider_vector is not None,
+        "rider_vector_exact": (
+            None
+            if report.rider_vector is None
+            else report.rider_vector == rider_vector
+        ),
+        "driver_vectors_exact": (
+            None
+            if driver_vectors is None
+            else sum(
+                1
+                for k, vec in report.driver_vectors.items()
+                if vec == driver_vectors[k]
+            )
+        ),
+        # Ground truth: every candidate interval contains the true block.
+        "intervals_sound": all(
+            lo <= true_blocks[i][j] <= hi
+            for (i, j), (lo, hi) in report.candidates.items()
+        ),
+    }
+
+
+def _count(records: Sequence[dict], key: str) -> int:
+    """How many records hold a true ``key``."""
+    return sum(1 for r in records if r[key])
+
+
 def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the session modes: full protocol per session, plus the recovery
     phase in ``end_to_end`` mode. Returns (session records, aggregate)."""
@@ -293,150 +375,98 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     attack_phase = config.mode == "end_to_end"
     seed = config.seed
 
-    # With merged requests one attack is fed every session's responses and
-    # reports after each session; driver ids are offset per session.
-    merged = (
-        IncrementalAttack(
+    def random_node(*path) -> int:
+        return Random(derive_seed(seed, *path)).randrange(net.num_nodes)
+
+    def new_attack() -> IncrementalAttack:
+        return IncrementalAttack(
             params, dim, strict=config.strict_lemma, embedding_table=table
         )
-        if config.merge_requests
-        else None
-    )
-    fixed_rider = (
-        Random(derive_seed(seed, "rider-node")).randrange(net.num_nodes)
-        if config.merge_requests
-        else None
-    )
 
+    # With merged requests the rider is fixed and one attack is fed every
+    # session's responses, reporting after each session. Driver ids are
+    # offset per session, so the per-driver ground truth is skipped.
+    merged = new_attack() if config.merge_requests else None
+    fixed_rider = random_node("rider-node") if config.merge_requests else None
+
+    @_naming_session
     def session_record(s: int) -> dict:
         ctx = RideContext(zone, s % 2**32, params, dim)
-        sp = ServiceProvider(ctx)
-        if fixed_rider is not None:
-            rider_node = fixed_rider
-        else:
-            rider_node = Random(derive_seed(seed, "session", s, "rider-node")).randrange(
-                net.num_nodes
-            )
-        request = rider_encrypt(
-            table[rider_node], keys, ctx, Random(derive_seed(seed, "session", s, "rider-rng"))
+        rider_node = fixed_rider if merged else random_node("session", s, "rider-node")
+        driver_nodes = [
+            random_node("session", s, "driver-node", k) for k in range(drivers)
+        ]
+        rider_vector = table[rider_node]
+        driver_vectors = [table[node] for node in driver_nodes]
+        matched = _session_matches(
+            ctx, keys, rider_vector, driver_vectors, seed, ("session", s)
         )
-        driver_nodes = {}
-        matched = []
-        encrypted = {}
-        for k in range(drivers):
-            node = Random(derive_seed(seed, "session", s, "driver-node", k)).randrange(
-                net.num_nodes
-            )
-            driver_nodes[k] = node
-            response = driver_encrypt(
-                k,
-                table[node],
-                keys,
-                ctx,
-                Random(derive_seed(seed, "session", s, "driver-rng", k)),
-            )
-            matches = sp.match_response(request, response)
-            matched.append((k, matches))
-            encrypted[k] = sp_compute_distance(matches, ctx)
-
-        plaintext = {
-            k: rne_distance(table[rider_node], table[node])
-            for k, node in driver_nodes.items()
-        }
-        selected = min(encrypted.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        plain_best = min(plaintext.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
+        encrypted = [sp_compute_distance(matches, ctx) for _, matches in matched]
+        plaintext = [rne_distance(rider_vector, vec) for vec in driver_vectors]
+        # min keeps the first minimum: the lowest id wins a tie.
+        selected = min(range(drivers), key=encrypted.__getitem__)
+        plain_best = min(range(drivers), key=plaintext.__getitem__)
         record = {
             "record": "session",
             "schema": SCHEMA_VERSION,
             "index": s,
             "rider_node": rider_node,
-            "driver_nodes": [driver_nodes[k] for k in range(drivers)],
-            "encrypted_distances": [encrypted[k] for k in range(drivers)],
-            "plaintext_distances": [plaintext[k] for k in range(drivers)],
-            "distances_match": all(
-                encrypted[k] == plaintext[k] for k in range(drivers)
-            ),
+            "driver_nodes": driver_nodes,
+            "encrypted_distances": encrypted,
+            "plaintext_distances": plaintext,
+            "distances_match": encrypted == plaintext,
             "selected_driver": selected,
             "plaintext_best": plain_best,
             "selection_matches": selected == plain_best,
         }
+        if not attack_phase:
+            return record
 
-        if attack_phase:
-            if merged is not None:
-                # Ids span sessions, so the per-driver ground-truth
-                # comparison is skipped.
-                for k, matches in matched:
-                    merged.feed(k + s * drivers, matches)
-                report = merged.report()
-            else:
-                report = run_attack(
-                    params, dim, matched, strict=config.strict_lemma, embedding_table=table
-                )
-            true_blocks_ok = _intervals_sound(
-                report, table[rider_node], params
+        attack = merged or new_attack()
+        offset = s * drivers if merged else 0
+        for k, matches in matched:
+            attack.feed(k + offset, matches)
+        report = attack.report()
+        record.update(
+            _recovery_fields(
+                report, rider_vector, None if merged else driver_vectors, params
             )
-            record.update(
-                {
-                    "blocks_total": report.blocks_total,
-                    "blocks_recovered": report.blocks_recovered,
-                    "rider_vector_recovered": report.rider_vector is not None,
-                    "rider_vector_exact": (
-                        None
-                        if report.rider_vector is None
-                        else list(report.rider_vector) == list(table[rider_node])
-                    ),
-                    "driver_vectors_exact": (
-                        None
-                        if config.merge_requests
-                        else sum(
-                            1
-                            for k, vec in report.driver_vectors.items()
-                            if vec == table[driver_nodes[k]]
-                        )
-                    ),
-                    "intervals_sound": true_blocks_ok,
-                    "recovered_rider_node": report.rider_node,
-                    "rider_node_exact": (
-                        None
-                        if report.rider_node is None
-                        else report.rider_node == rider_node
-                    ),
-                    "rider_node_ambiguity": report.rider_ambiguity,
-                    "driver_nodes_exact": (
-                        None
-                        if config.merge_requests or report.rider_vector is None
-                        else sum(
-                            1
-                            for k, (node, _amb) in report.driver_nodes.items()
-                            if node == driver_nodes.get(k)
-                        )
-                    ),
-                    "interval_widths": {
-                        f"{i},{j}": hi - lo + 1
-                        for (i, j), (lo, hi) in sorted(report.candidates.items())
-                    },
-                    "unique_at": {
-                        f"{i},{j}": at
-                        for (i, j), at in sorted(report.unique_at.items())
-                    },
-                }
-            )
+        )
+        record.update(
+            {
+                "recovered_rider_node": report.rider_node,
+                "rider_node_exact": (
+                    None
+                    if report.rider_node is None
+                    else report.rider_node == rider_node
+                ),
+                "rider_node_ambiguity": report.rider_ambiguity,
+                "driver_nodes_exact": (
+                    None
+                    if merged or report.rider_vector is None
+                    else sum(
+                        1
+                        for k, (node, _amb) in report.driver_nodes.items()
+                        if node == driver_nodes[k]
+                    )
+                ),
+                "interval_widths": {
+                    f"{i},{j}": hi - lo + 1
+                    for (i, j), (lo, hi) in sorted(report.candidates.items())
+                },
+                "unique_at": {
+                    f"{i},{j}": at
+                    for (i, j), at in sorted(report.unique_at.items())
+                },
+            }
+        )
         return record
-
-    def one_session(s: int) -> dict:
-        # A runtime fault keeps its type and gains the session it came from,
-        # which with the mode and seed is enough to reproduce it.
-        try:
-            return session_record(s)
-        except (LedgerFault, ProtocolFault) as exc:
-            raise type(exc)(f"session {s}: {exc}") from exc
 
     if config.workers > 1 and not config.merge_requests:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(one_session, range(sessions)))
+            records = list(pool.map(session_record, range(sessions)))
     else:
-        records = [one_session(s) for s in range(sessions)]
+        records = [session_record(s) for s in range(sessions)]
 
     aggregate = {
         "record": "aggregate",
@@ -449,37 +479,21 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         "l": params.block_bits,
         "m": params.num_blocks,
         "n": dim,
-        "selection_matches": sum(1 for r in records if r["selection_matches"]),
-        "distances_match": sum(1 for r in records if r["distances_match"]),
+        "selection_matches": _count(records, "selection_matches"),
+        "distances_match": _count(records, "distances_match"),
         "prf": PRF_CONSTRUCTION,
     }
     if attack_phase:
         aggregate.update(
             {
-                "sessions_fully_recovered": sum(
-                    1 for r in records if r["rider_vector_recovered"]
-                ),
-                "sessions_rider_exact": sum(
-                    1 for r in records if r.get("rider_vector_exact")
-                ),
-                "sessions_sound": sum(1 for r in records if r["intervals_sound"]),
+                "sessions_fully_recovered": _count(records, "rider_vector_recovered"),
+                "sessions_rider_exact": _count(records, "rider_vector_exact"),
+                "sessions_sound": _count(records, "intervals_sound"),
                 "strict_lemma": config.strict_lemma,
                 "merge_requests": config.merge_requests,
             }
         )
     return records, aggregate
-
-
-def _intervals_sound(
-    report: RecoveryReport, rider_vector: Sequence[int], params: BlockParams
-) -> bool:
-    """Ground-truth check: every candidate interval contains the true block."""
-    for i, coordinate in enumerate(rider_vector):
-        for j, block in enumerate(decompose(coordinate, params)):
-            lo, hi = report.candidates[(i, j)]
-            if not lo <= block <= hi:
-                return False
-    return True
 
 
 def run_synthetic_sessions(
@@ -501,60 +515,34 @@ def run_synthetic_sessions(
     """
     params = BlockParams(block_bits, num_blocks)
     keys = issue_system_keys(derive_seed(seed, "keys"))
-    records = []
-    for s in range(sessions):
+
+    @_naming_session
+    def session_record(s: int) -> dict:
         ctx = RideContext(zone_id, s % 2**32, params, dim)
         rng_locations = Random(derive_seed(seed, "synthetic", s, "locations"))
-        rider_vector = tuple(
-            rng_locations.randrange(params.capacity) for _ in range(dim)
+        rider_vector, *driver_vectors = (
+            tuple(rng_locations.randrange(params.capacity) for _ in range(dim))
+            for _ in range(num_drivers + 1)
         )
-        driver_vectors = {
-            k: tuple(rng_locations.randrange(params.capacity) for _ in range(dim))
-            for k in range(num_drivers)
-        }
-        request = rider_encrypt(
-            rider_vector, keys, ctx, Random(derive_seed(seed, "synthetic", s, "rider-rng"))
+        matched = _session_matches(
+            ctx, keys, rider_vector, driver_vectors, seed, ("synthetic", s)
         )
-        sp = ServiceProvider(ctx)
-        matched = []
-        for k in range(num_drivers):
-            response = driver_encrypt(
-                k,
-                driver_vectors[k],
-                keys,
-                ctx,
-                Random(derive_seed(seed, "synthetic", s, "driver-rng", k)),
-            )
-            matched.append((k, sp.match_response(request, response)))
         report = run_attack(params, dim, matched, strict=strict)
-        records.append(
-            {
-                "record": "synthetic_session",
-                "schema": SCHEMA_VERSION,
-                "index": s,
-                "blocks_total": report.blocks_total,
-                "blocks_recovered": report.blocks_recovered,
-                "rider_vector_recovered": report.rider_vector is not None,
-                "rider_vector_exact": (
-                    None
-                    if report.rider_vector is None
-                    else report.rider_vector == rider_vector
-                ),
-                "driver_vectors_exact": sum(
-                    1
-                    for k, vec in report.driver_vectors.items()
-                    if driver_vectors[k] == vec
-                ),
-                "all_drivers_exact": (
-                    report.rider_vector is not None
-                    and all(
-                        report.driver_vectors.get(k) == driver_vectors[k]
-                        for k in range(num_drivers)
-                    )
-                ),
-                "intervals_sound": _intervals_sound(report, rider_vector, params),
-            }
-        )
+        return {
+            "record": "synthetic_session",
+            "schema": SCHEMA_VERSION,
+            "index": s,
+            **_recovery_fields(report, rider_vector, driver_vectors, params),
+            "all_drivers_exact": (
+                report.rider_vector is not None
+                and all(
+                    report.driver_vectors.get(k) == vec
+                    for k, vec in enumerate(driver_vectors)
+                )
+            ),
+        }
+
+    records = [session_record(s) for s in range(sessions)]
     aggregate = {
         "record": "aggregate",
         "schema": SCHEMA_VERSION,
@@ -565,15 +553,11 @@ def run_synthetic_sessions(
         "m": num_blocks,
         "n": dim,
         "strict_lemma": strict,
-        "sessions_fully_recovered": sum(
-            1 for r in records if r["rider_vector_recovered"]
-        ),
+        "sessions_fully_recovered": _count(records, "rider_vector_recovered"),
         "sessions_all_exact": sum(
-            1
-            for r in records
-            if r["rider_vector_exact"] and r["all_drivers_exact"]
+            1 for r in records if r["rider_vector_exact"] and r["all_drivers_exact"]
         ),
-        "sessions_sound": sum(1 for r in records if r["intervals_sound"]),
+        "sessions_sound": _count(records, "intervals_sound"),
         "prf": PRF_CONSTRUCTION,
     }
     return records, aggregate

@@ -65,10 +65,9 @@ class RideContext:
 
 
 class RiderEntry(NamedTuple):
-    """One candidate ciphertext: identifying tag, equality token, masked
-    signed difference. The tag is realized as the equality token itself."""
+    """One candidate ciphertext: equality token, which also identifies the
+    entry, and masked signed difference."""
 
-    tag: bytes
     c1: bytes
     c2: bytes
 
@@ -141,7 +140,7 @@ def rider_encrypt(
                 pad = prf_f(prf_h(keys.mask_key, message), nonce)[:PAYLOAD_BYTES]
                 payload = weighted_difference(q, block, j, params)
                 masked = xor_bytes(pad, encode_signed(payload))
-                entries.append(RiderEntry(tag=token, c1=token, c2=masked))
+                entries.append(RiderEntry(c1=token, c2=masked))
             rng.shuffle(entries)
             groups.append(
                 RiderBlockGroup(coord=i, block_index=j, nonce=nonce, entries=tuple(entries))
@@ -197,38 +196,6 @@ def sp_match_block(group: RiderBlockGroup, entry: DriverEntry) -> int | None:
     return decode_signed(xor_bytes(hits[0].c2, pad))
 
 
-def sp_match_all(
-    request: RiderRequest, response: DriverResponse
-) -> dict[tuple[int, int], int]:
-    """Match every driver pair to its rider group and unmask all payloads.
-
-    Returns the complete map (coordinate, block index) -> signed payload;
-    an unmatched or duplicated pair is a protocol fault.
-    """
-    if request.context != response.context:
-        raise ProtocolFault("request and response belong to different sessions")
-    groups = {(g.coord, g.block_index): g for g in request.groups}
-    if len(groups) != len(request.groups):
-        raise ProtocolFault("rider request repeats a (coord, block) group")
-    diffs: dict[tuple[int, int], int] = {}
-    for entry in response.entries:
-        label = (entry.coord, entry.block_index)
-        group = groups.get(label)
-        if group is None:
-            raise ProtocolFault(f"driver ciphertext at {label} has no rider group")
-        if label in diffs:
-            raise ProtocolFault(f"duplicate driver ciphertext at {label}")
-        payload = sp_match_block(group, entry)
-        if payload is None:
-            raise ProtocolFault(f"driver ciphertext at {label} matched no rider entry")
-        diffs[label] = payload
-    if len(diffs) != request.context.total_blocks:
-        raise ProtocolFault(
-            f"matched {len(diffs)} of {request.context.total_blocks} positions"
-        )
-    return diffs
-
-
 def sp_compute_distance(
     diffs: Mapping[tuple[int, int], int], ctx: RideContext
 ) -> int:
@@ -246,23 +213,6 @@ def sp_compute_distance(
     return best
 
 
-def sp_select_driver(
-    request: RiderRequest, responses: Sequence[DriverResponse]
-) -> int:
-    """Pick the responding driver with minimum distance, lowest id on ties."""
-    if not responses:
-        raise ValueError("no drivers responded")
-    best_id = None
-    best_key = None
-    for response in responses:
-        distance = sp_compute_distance(sp_match_all(request, response), request.context)
-        key = (distance, response.driver_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_id = response.driver_id
-    return best_id
-
-
 class ServiceProvider:
     """The matching party. Holds session context and nothing else; the
     slots declaration makes it impossible to hand it key material."""
@@ -272,25 +222,55 @@ class ServiceProvider:
     def __init__(self, context: RideContext) -> None:
         self.context = context
 
-    def _check(self, request: RiderRequest) -> None:
-        if request.context != self.context:
-            raise ProtocolFault("request belongs to a different session")
-
     def match_response(
         self, request: RiderRequest, response: DriverResponse
     ) -> dict[tuple[int, int], int]:
-        self._check(request)
-        return sp_match_all(request, response)
+        """Match every driver pair to its rider group and unmask all payloads.
 
-    def distance_to(self, request: RiderRequest, response: DriverResponse) -> int:
-        self._check(request)
-        return sp_compute_distance(sp_match_all(request, response), self.context)
+        Returns the complete map (coordinate, block index) -> signed payload.
+        A request or response from another session, and an unmatched or
+        duplicated pair, are protocol faults.
+        """
+        if request.context != self.context:
+            raise ProtocolFault("request belongs to a different session")
+        if response.context != self.context:
+            raise ProtocolFault("response belongs to a different session")
+        groups = {(g.coord, g.block_index): g for g in request.groups}
+        if len(groups) != len(request.groups):
+            raise ProtocolFault("rider request repeats a (coord, block) group")
+        diffs: dict[tuple[int, int], int] = {}
+        for entry in response.entries:
+            label = (entry.coord, entry.block_index)
+            group = groups.get(label)
+            if group is None:
+                raise ProtocolFault(f"driver ciphertext at {label} has no rider group")
+            if label in diffs:
+                raise ProtocolFault(f"duplicate driver ciphertext at {label}")
+            payload = sp_match_block(group, entry)
+            if payload is None:
+                raise ProtocolFault(
+                    f"driver ciphertext at {label} matched no rider entry"
+                )
+            diffs[label] = payload
+        if len(diffs) != self.context.total_blocks:
+            raise ProtocolFault(
+                f"matched {len(diffs)} of {self.context.total_blocks} positions"
+            )
+        return diffs
 
     def select_driver(
         self, request: RiderRequest, responses: Sequence[DriverResponse]
     ) -> int:
-        self._check(request)
-        return sp_select_driver(request, responses)
+        """Pick the responding driver with minimum distance, lowest id on ties."""
+        if not responses:
+            raise ValueError("no drivers responded")
+        return min(
+            (
+                sp_compute_distance(self.match_response(request, r), self.context),
+                r.driver_id,
+            )
+            for r in responses
+        )[1]
 
 
 # Re-exported so protocol users can catch the crypto-layer fault directly.
@@ -304,9 +284,7 @@ __all__ = [
     "rider_encrypt",
     "driver_encrypt",
     "sp_match_block",
-    "sp_match_all",
     "sp_compute_distance",
-    "sp_select_driver",
     "ServiceProvider",
     "PrfCollisionError",
 ]

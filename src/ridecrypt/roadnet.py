@@ -179,14 +179,6 @@ class RoadNetwork:
         return best
 
 
-def shortest_path_distance(net: RoadNetwork, u: int, v: int) -> int:
-    return net.shortest_path_distance(u, v)
-
-
-def rne_embed(net: RoadNetwork, node: int) -> RneVector:
-    return net.embed(node)
-
-
 def rne_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Chebyshev distance between two embedding vectors."""
     if len(a) != len(b):

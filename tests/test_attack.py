@@ -373,42 +373,6 @@ class TestIncrementalAttack:
                     at is not None for at in expected[0].values()
                 )
 
-        split = data.draw(st.integers(0, len(feed)))
-        merged, tail = DifferenceLedger(params, dim), DifferenceLedger(params, dim)
-        for k, matches in feed[:split]:
-            merged.record_matches(k, matches)
-        for k, matches in feed[split:]:
-            tail.record_matches(k, matches)
-        merged.merge(tail)
-        whole = attack.ledger
-        assert merged.drivers() == whole.drivers()
-        for pos in whole.positions():
-            assert merged.diffs(*pos) == whole.diffs(*pos)
-        for k in whole.drivers():
-            assert merged.driver_diffs(k) == whole.driver_diffs(k)
-        rider_vector, candidates = recover_rider_vector(merged, strict)
-        assert (rider_vector, candidates) == (expected[2], expected[1])
-        if rider_vector is not None:
-            assert recover_driver_vectors(merged, rider_vector) == expected[3]
-
-
-class TestLedgerMerge:
-    def test_merge_accumulates_evidence(self):
-        params = BlockParams(1, 1)
-        first = DifferenceLedger(params, 1)
-        second = DifferenceLedger(params, 1)
-        first.record(0, 0, driver_id=0, payload=0)   # driver block == rider block
-        second.record(0, 0, driver_id=1, payload=-1)  # pins rider block to 1
-        assert recover_rider_vector(first, strict=True)[0] is None
-        first.merge(second)
-        assert recover_rider_vector(first, strict=True)[0] == (1,)
-
-    def test_merge_requires_matching_parameters(self):
-        with pytest.raises(ValueError):
-            DifferenceLedger(BlockParams(1, 1), 1).merge(
-                DifferenceLedger(BlockParams(2, 1), 1)
-            )
-
 
 class TestSoundness:
     @given(st.data())

@@ -267,6 +267,22 @@ class TestSyntheticSessions:
         )
         assert aggregate["sessions_fully_recovered"] == 0
 
+    @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
+    def test_session_fault_keeps_its_type(self, fault, monkeypatch):
+        honest = ServiceProvider.match_response
+
+        def faulty(sp, request, response):
+            if sp.context.time_slot == 1:
+                raise fault("injected")
+            return honest(sp, request, response)
+
+        monkeypatch.setattr(ServiceProvider, "match_response", faulty)
+        with pytest.raises(fault, match="^session 1: injected$") as excinfo:
+            run_synthetic_sessions(
+                block_bits=1, num_blocks=1, dim=1, num_drivers=2, sessions=3
+            )
+        assert type(excinfo.value) is fault
+
 
 class TestReports:
     def test_dump_records_is_sorted_compact_jsonl(self):

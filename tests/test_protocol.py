@@ -23,9 +23,7 @@ from ridecrypt.protocol import (
     driver_encrypt,
     rider_encrypt,
     sp_compute_distance,
-    sp_match_all,
     sp_match_block,
-    sp_select_driver,
 )
 from ridecrypt.roadnet import rne_distance
 
@@ -34,6 +32,14 @@ KEYS = issue_system_keys(2024)
 
 def make_ctx(block_bits=2, num_blocks=2, dim=2, zone=11, slot=5):
     return RideContext(zone, slot, BlockParams(block_bits, num_blocks), dim)
+
+
+def match_all(request, response):
+    return ServiceProvider(request.context).match_response(request, response)
+
+
+def select_driver(request, responses):
+    return ServiceProvider(request.context).select_driver(request, responses)
 
 
 def random_vector(rng, ctx):
@@ -78,13 +84,6 @@ class TestRiderEncrypt:
             for i, coordinate in enumerate(location):
                 expected = decompose(coordinate, ctx.params)
                 assert tuple(blocks[(i, j)] for j in range(4)) == expected
-
-    def test_tag_is_the_equality_token(self):
-        ctx = make_ctx()
-        request = rider_encrypt((3, 8), KEYS, ctx, random.Random(2))
-        for group in request.groups:
-            for entry in group.entries:
-                assert entry.tag == entry.c1
 
     def test_fresh_nonce_per_group(self):
         ctx = make_ctx(block_bits=2, num_blocks=3, dim=4)
@@ -184,7 +183,7 @@ class TestMatchAll:
         location = (17, 2, 60)
         request = rider_encrypt(location, KEYS, ctx, random.Random(1))
         response = driver_encrypt(0, location, KEYS, ctx, random.Random(2))
-        diffs = sp_match_all(request, response)
+        diffs = match_all(request, response)
         assert set(diffs.values()) == {0}
 
     def test_hand_worked_payloads(self):
@@ -192,7 +191,7 @@ class TestMatchAll:
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=1)
         request = rider_encrypt((6,), KEYS, ctx, random.Random(1))
         response = driver_encrypt(0, (9,), KEYS, ctx, random.Random(2))
-        diffs = sp_match_all(request, response)
+        diffs = match_all(request, response)
         assert diffs == {(0, 0): -1, (0, 1): 4}
 
     def test_per_coordinate_sums_telescope(self):
@@ -203,7 +202,7 @@ class TestMatchAll:
             driver_loc = random_vector(rng, ctx)
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
             response = driver_encrypt(0, driver_loc, KEYS, ctx, rng)
-            diffs = sp_match_all(request, response)
+            diffs = match_all(request, response)
             for i in range(ctx.dim):
                 total = sum(diffs[(i, j)] for j in range(ctx.params.num_blocks))
                 assert total == driver_loc[i] - rider_loc[i]
@@ -212,7 +211,7 @@ class TestMatchAll:
         request = rider_encrypt((1, 2), KEYS, make_ctx(zone=1), random.Random(1))
         response = driver_encrypt(0, (1, 2), KEYS, make_ctx(zone=2), random.Random(2))
         with pytest.raises(ProtocolFault):
-            sp_match_all(request, response)
+            match_all(request, response)
 
     def test_unknown_label_is_a_fault(self):
         ctx = make_ctx()
@@ -221,7 +220,7 @@ class TestMatchAll:
         bad_entry = honest.entries[0]._replace(coord=7)
         forged = DriverResponse(0, ctx, honest.entries[1:] + (bad_entry,))
         with pytest.raises(ProtocolFault):
-            sp_match_all(request, forged)
+            match_all(request, forged)
 
     def test_wrong_session_entry_matches_nothing(self):
         ctx_a = make_ctx(slot=1)
@@ -230,7 +229,7 @@ class TestMatchAll:
         stale = driver_encrypt(0, (1, 2), KEYS, ctx_b, random.Random(2))
         forged = DriverResponse(0, ctx_a, stale.entries)
         with pytest.raises(ProtocolFault):
-            sp_match_all(request, forged)
+            match_all(request, forged)
 
 
 class TestDistanceAndSelection:
@@ -256,33 +255,33 @@ class TestDistanceAndSelection:
             driver_loc = random_vector(rng, ctx)
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
             response = driver_encrypt(0, driver_loc, KEYS, ctx, rng)
-            encrypted = sp_compute_distance(sp_match_all(request, response), ctx)
+            encrypted = sp_compute_distance(match_all(request, response), ctx)
             assert encrypted == rne_distance(rider_loc, driver_loc)
 
     def test_single_responder_selected(self):
         ctx = make_ctx()
         request = rider_encrypt((5, 6), KEYS, ctx, random.Random(1))
         response = driver_encrypt(3, (1, 2), KEYS, ctx, random.Random(2))
-        assert sp_select_driver(request, [response]) == 3
+        assert select_driver(request, [response]) == 3
 
     def test_closest_of_two_wins(self):
         ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
         request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
         near = driver_encrypt(7, (8,), KEYS, ctx, random.Random(2))  # distance 3
         far = driver_encrypt(2, (12,), KEYS, ctx, random.Random(3))  # distance 7
-        assert sp_select_driver(request, [far, near]) == 7
+        assert select_driver(request, [far, near]) == 7
 
     def test_tie_break_lowest_id(self):
         ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
         request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
         a = driver_encrypt(9, (8,), KEYS, ctx, random.Random(2))
         b = driver_encrypt(4, (2,), KEYS, ctx, random.Random(3))  # also distance 3
-        assert sp_select_driver(request, [a, b]) == 4
+        assert select_driver(request, [a, b]) == 4
 
     def test_no_responses(self):
         request = rider_encrypt((5, 6), KEYS, make_ctx(), random.Random(1))
         with pytest.raises(ValueError):
-            sp_select_driver(request, [])
+            select_driver(request, [])
 
     def test_selection_equals_plaintext_argmin(self):
         rng = random.Random(21)
@@ -294,7 +293,7 @@ class TestDistanceAndSelection:
             responses = [
                 driver_encrypt(k, loc, KEYS, ctx, rng) for k, loc in drivers.items()
             ]
-            assert sp_select_driver(request, responses) == best_driver(
+            assert select_driver(request, responses) == best_driver(
                 rider_loc, drivers
             )
 
@@ -316,8 +315,7 @@ class TestMatchingPartyVisibility:
             }
             assert isinstance(group.nonce, bytes)
             for entry in group.entries:
-                assert RiderEntry._fields == ("tag", "c1", "c2")
-                assert isinstance(entry.tag, bytes)
+                assert RiderEntry._fields == ("c1", "c2")
                 assert isinstance(entry.c1, bytes)
                 assert isinstance(entry.c2, bytes)
 
@@ -347,7 +345,7 @@ class TestMatchingPartyVisibility:
             driver_encrypt(k, (5 + k, 10), KEYS, ctx, random.Random(k + 2))
             for k in range(3)
         ]
-        assert sp.distance_to(request, responses[0]) == 0
+        assert sp_compute_distance(sp.match_response(request, responses[0]), ctx) == 0
         assert sp.select_driver(request, responses) == 0
         other = rider_encrypt((1, 1), KEYS, make_ctx(zone=99), random.Random(9))
         with pytest.raises(ProtocolFault):

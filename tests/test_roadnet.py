@@ -14,9 +14,7 @@ from ridecrypt.roadnet import (
     load_network,
     parse_network,
     rne_distance,
-    rne_embed,
     save_network,
-    shortest_path_distance,
 )
 
 vectors = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
@@ -27,7 +25,7 @@ class TestGridGeneration:
         net = generate_grid_network(1, 1, (1, 1), seed=0)
         assert net.num_nodes == 1
         assert net.edges == ()
-        assert rne_embed(net, 0) == (0,) * net.dim
+        assert net.embed(0) == (0,) * net.dim
 
     def test_two_by_two_uniform_weights(self):
         net = generate_grid_network(2, 2, (5, 5), seed=3)
@@ -90,29 +88,29 @@ class TestShortestPaths:
     def test_distance_to_self_is_zero(self):
         net = generate_grid_network(3, 3, (1, 10), seed=11)
         for node in range(net.num_nodes):
-            assert shortest_path_distance(net, node, node) == 0
+            assert net.shortest_path_distance(node, node) == 0
 
     def test_single_edge(self):
         net = RoadNetwork(2, [(0, 1, 7)], [[0]])
-        assert shortest_path_distance(net, 0, 1) == 7
-        assert shortest_path_distance(net, 1, 0) == 7
+        assert net.shortest_path_distance(0, 1) == 7
+        assert net.shortest_path_distance(1, 0) == 7
 
     def test_all_pairs_agree_with_relaxation_oracle(self):
         net = generate_grid_network(5, 5, (1, 10), seed=42)
         oracle = floyd_warshall(net)
         for u in range(net.num_nodes):
             for v in range(net.num_nodes):
-                assert shortest_path_distance(net, u, v) == oracle[u][v]
+                assert net.shortest_path_distance(u, v) == oracle[u][v]
 
     def test_symmetry(self):
         net = generate_grid_network(4, 3, (1, 9), seed=5)
         for u, v in itertools.combinations(range(net.num_nodes), 2):
-            assert shortest_path_distance(net, u, v) == shortest_path_distance(net, v, u)
+            assert net.shortest_path_distance(u, v) == net.shortest_path_distance(v, u)
 
     def test_unknown_node(self):
         net = RoadNetwork(2, [(0, 1, 7)], [[0]])
         with pytest.raises(ValueError):
-            shortest_path_distance(net, 0, 9)
+            net.shortest_path_distance(0, 9)
 
 
 @st.composite
@@ -170,19 +168,19 @@ class TestDiameter:
 class TestEmbedding:
     def test_node_in_every_subset_embeds_to_zero(self):
         net = RoadNetwork(3, [(0, 1, 2), (1, 2, 3)], [[0, 1], [0, 2], [0]])
-        assert rne_embed(net, 0) == (0, 0, 0)
+        assert net.embed(0) == (0, 0, 0)
 
     def test_singleton_subsets_give_exact_distances(self):
         net = generate_grid_network(2, 2, (5, 5), seed=1, landmarks=4)
         for node in range(net.num_nodes):
-            embedded = rne_embed(net, node)
+            embedded = net.embed(node)
             for i, subset in enumerate(net.landmark_subsets):
                 landmark = next(iter(subset))
-                assert embedded[i] == shortest_path_distance(net, node, landmark)
+                assert embedded[i] == net.shortest_path_distance(node, landmark)
 
     def test_multi_node_subset_takes_nearest(self):
         net = RoadNetwork(3, [(0, 1, 2), (1, 2, 3)], [[0, 2]])
-        assert rne_embed(net, 1) == (2,)
+        assert net.embed(1) == (2,)
 
     def test_embedding_deterministic(self):
         a = generate_grid_network(3, 3, (1, 10), seed=9)
@@ -195,8 +193,8 @@ class TestEmbedding:
         table = net.embedding_table()
         for u in range(net.num_nodes):
             for v in range(net.num_nodes):
-                assert rne_distance(table[u], table[v]) <= shortest_path_distance(
-                    net, u, v
+                assert rne_distance(table[u], table[v]) <= net.shortest_path_distance(
+                    u, v
                 )
 
 
@@ -241,7 +239,7 @@ class TestNetworkFileFormat:
         net = parse_network("3 2\n0 1 4\n1 2 5\n0\n2\n")
         assert net.num_nodes == 3
         assert net.dim == 2
-        assert rne_embed(net, 1) == (4, 5)
+        assert net.embed(1) == (4, 5)
 
     def test_malformed_header(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,60 @@
+"""The benchmark and the demos drive the library from outside the package.
+
+``perfbench/tracer.py`` rebinds functions and methods by name and
+``perfbench/worker.py`` builds its runs from harness keywords, so a rename
+here would crash ``perfbench/run.py --trace 1``. Demos 01 and 02 exercise
+the public API end to end; demo 03 takes several seconds and is left out.
+"""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+
+import pytest
+
+from ridecrypt.harness import ExperimentConfig, run_synthetic_sessions
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+
+
+def test_traced_names_resolve(perfbench):
+    import tracer
+
+    for layer, name in tracer.FUNCTIONS:
+        module = importlib.import_module(f"ridecrypt.{layer}")
+        assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for layer, cls_name, name in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"ridecrypt.{layer}"), cls_name)
+        assert callable(getattr(cls, name, None)), f"{layer}.{cls_name}.{name}"
+
+
+def test_worker_arguments_fit_the_harness(perfbench):
+    import worker
+
+    inspect.signature(run_synthetic_sessions).bind(seed=1, strict=True, **worker.FLEET)
+    for config in worker.CONFIGS.values():
+        ExperimentConfig(
+            mode="end_to_end", weight_range=worker.WEIGHTS, seed=1, workers=2, **config
+        ).validate()
+
+
+DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
