@@ -13,7 +13,6 @@ from .attack import (
     RecoveryReport,
     deanonymize,
     embedding_index,
-    has_full_coverage,
     recover_block,
     recover_driver_vectors,
     recover_rider_vector,

@@ -9,17 +9,18 @@ interval collapses to a point the block is known, and every driver's block
 follows by adding its difference back. No extra protocol messages are
 needed; the input here is exactly the output of honest matching.
 
-The ledger stores the differences twice, each in the shape one question
-needs. Per position it keeps the running minimum, maximum and set of
-distinct differences, which answer "is the rider block pinned?" in O(1),
-plus the differences in arrival order. Per driver it keeps one row of
-``dim * num_blocks`` differences, where position ``(coord, block)`` sits
-at index ``coord * num_blocks + block`` and a position the driver never
-answered holds the int16 minimum, outside every difference range (at most
-``2**8 - 1`` in magnitude). Stacking the rows gives a drivers x positions
-integer matrix, so all driver vectors come back in one vectorised pass.
-Feeding a response costs O(positions) and recovery O(drivers * positions),
-so an attack is linear in what it is fed.
+The ledger holds the differences in two shapes, one per question the
+attack asks. Per position it keeps the running candidate interval, narrowed by each
+difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and the set of
+distinct differences; together they answer "is the rider block pinned?"
+in O(1). Per driver it keeps one row of ``dim * num_blocks`` differences,
+where position ``(coord, block)`` sits at index ``coord * num_blocks +
+block`` and a position the driver never answered holds the int16 minimum,
+outside every difference range (at most ``2**8 - 1`` in magnitude).
+Stacking the rows gives a drivers x positions integer matrix, so all
+driver vectors come back in one vectorised pass. Feeding a response costs
+O(positions) and recovery O(drivers * positions), so an attack is linear
+in what it is fed.
 """
 
 from __future__ import annotations
@@ -62,34 +63,6 @@ def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
     return lo, hi
 
 
-def has_full_coverage(diffs: Iterable[int], block_bits: int) -> bool:
-    """Whether differences to all ``2**bits`` distinct block values were seen."""
-    return len(set(diffs)) == 1 << block_bits
-
-
-class _Cell:
-    """One position's differences in arrival order plus O(1) uniqueness
-    bookkeeping."""
-
-    __slots__ = ("diffs", "dmin", "dmax", "distinct")
-
-    def __init__(self) -> None:
-        self.diffs: list[int] = []
-        self.dmin = 0
-        self.dmax = 0
-        self.distinct: set[int] = set()
-
-    def add(self, d: int) -> None:
-        if not self.diffs:
-            self.dmin = self.dmax = d
-        elif d < self.dmin:
-            self.dmin = d
-        elif d > self.dmax:
-            self.dmax = d
-        self.diffs.append(d)
-        self.distinct.add(d)
-
-
 class DifferenceLedger:
     """The service provider's collection of signed block differences across
     responding drivers, by position and by driver. Single writer per
@@ -102,7 +75,10 @@ class DifferenceLedger:
         self.dim = dim
         self._base = params.base
         self._weights = tuple(params.weight(j) for j in range(params.num_blocks))
-        self._cells = [_Cell() for _ in range(dim * params.num_blocks)]
+        size = dim * params.num_blocks
+        self._lo = [0] * size
+        self._hi = [self._base - 1] * size
+        self._distinct: list[set[int]] = [set() for _ in range(size)]
         self._rows: dict[int, list[int]] = {}
 
     def positions(self) -> list[tuple[int, int]]:
@@ -123,7 +99,8 @@ class DifferenceLedger:
         """File one matched payload. The payload must be an exact multiple
         of the position weight and normalize to an in-range difference.
         A driver's later payload for the same position replaces its row
-        entry; the position keeps both differences."""
+        entry; the position's interval and distinct set keep both
+        differences."""
         pos = self._slot(coord, block_index)
         weight = self._weights[block_index]
         if payload % weight != 0:
@@ -138,9 +115,11 @@ class DifferenceLedger:
             )
         row = self._rows.get(driver_id)
         if row is None:
-            row = self._rows[driver_id] = [_MISSING] * len(self._cells)
+            row = self._rows[driver_id] = [_MISSING] * len(self._lo)
         row[pos] = d
-        self._cells[pos].add(d)
+        self._lo[pos] = max(self._lo[pos], -d)
+        self._hi[pos] = min(self._hi[pos], self._base - 1 - d)
+        self._distinct[pos].add(d)
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
@@ -148,10 +127,6 @@ class DifferenceLedger:
         """File a whole ``ServiceProvider.match_response`` output."""
         for (coord, block_index), payload in matches.items():
             self.record(coord, block_index, driver_id, payload)
-
-    def diffs(self, coord: int, block_index: int) -> list[int]:
-        """Every difference filed at this position, in arrival order."""
-        return list(self._cells[self._slot(coord, block_index)].diffs)
 
     def drivers(self) -> list[int]:
         return sorted(self._rows)
@@ -174,12 +149,8 @@ class DifferenceLedger:
 
     def interval(self, coord: int, block_index: int) -> tuple[int, int]:
         """Current candidate interval; the full range if nothing was seen."""
-        cell = self._cells[self._slot(coord, block_index)]
-        top = self._base - 1
-        if not cell.diffs:
-            return 0, top
-        lo = max(0, -cell.dmin)
-        hi = min(top, top - cell.dmax)
+        pos = self._slot(coord, block_index)
+        lo, hi = self._lo[pos], self._hi[pos]
         if lo > hi:
             raise LedgerFault(
                 f"no block value is consistent at ({coord}, {block_index})"
@@ -194,8 +165,7 @@ class DifferenceLedger:
         the default accepts any interval that closed to a point.
         """
         if strict:
-            cell = self._cells[self._slot(coord, block_index)]
-            return len(cell.distinct) == self._base
+            return len(self._distinct[self._slot(coord, block_index)]) == self._base
         lo, hi = self.interval(coord, block_index)
         return lo == hi
 
@@ -335,10 +305,6 @@ class RecoveryReport:
     rider_node: int | None = None
     rider_ambiguity: int | None = None
     driver_nodes: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return self.rider_vector is not None
 
 
 class IncrementalAttack:

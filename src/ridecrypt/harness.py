@@ -51,6 +51,9 @@ EXPECTED_DRIVERS = {1: 3, 2: 9, 3: 22, 4: 55}
 
 _TRIALS_CHUNK = 1 << 14
 
+#: Zone id of every synthetic session's ride context.
+SYNTHETIC_ZONE = 7
+
 
 def derive_seed(master: int, *path) -> int:
     """Stable 64-bit child seed for a (master seed, purpose path) pair."""
@@ -75,10 +78,7 @@ def blocks_needed(max_value: int, block_bits: int) -> int:
     """Smallest block count whose capacity covers ``max_value``."""
     if max_value < 0:
         raise ValueError("max_value must be non-negative")
-    count = max(1, -(-max(max_value, 1).bit_length() // block_bits))
-    while (1 << (count * block_bits)) - 1 < max_value:
-        count += 1
-    return count
+    return max(1, -(-max(max_value, 1).bit_length() // block_bits))
 
 
 def _coverage_chunk(block_bits: int, count: int, seed: int) -> np.ndarray:
@@ -127,18 +127,10 @@ def simulate_coverage_draws(
         derive_seed(seed, "coverage", block_bits, index)
         for index in range(len(sizes))
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda args: _coverage_chunk(block_bits, *args),
-                    zip(sizes, seeds),
-                )
-            )
-    else:
-        chunks = [
-            _coverage_chunk(block_bits, size, s) for size, s in zip(sizes, seeds)
-        ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = list(
+            pool.map(lambda args: _coverage_chunk(block_bits, *args), zip(sizes, seeds))
+        )
     return np.concatenate(chunks)
 
 
@@ -213,14 +205,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.block_bits is not None and self.block_bits not in (1, 2, 3, 4):
             raise ValueError("supported block widths are 1..4")
-        if self.num_blocks is not None and self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
+        if self.num_blocks is not None:
+            BlockParams(self.resolved_block_bits, self.num_blocks)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         if self.weight_range[0] > self.weight_range[1]:
             raise ValueError("empty weight range")
+        if self.weight_range[0] < 0:
+            raise ValueError("edge weights must be non-negative")
         if self.num_drivers is not None and self.num_drivers < 1:
             raise ValueError("num_drivers must be >= 1")
         if self.trials is not None and self.trials < 1:
@@ -504,7 +498,6 @@ def run_synthetic_sessions(
     sessions: int,
     seed: int = 1,
     strict: bool = True,
-    zone_id: int = 7,
 ) -> tuple[list[dict], dict]:
     """Full protocol + recovery on synthetic locations whose blocks are
     i.i.d. uniform, the regime the expected-responder counts assume.
@@ -518,7 +511,7 @@ def run_synthetic_sessions(
 
     @_naming_session
     def session_record(s: int) -> dict:
-        ctx = RideContext(zone_id, s % 2**32, params, dim)
+        ctx = RideContext(SYNTHETIC_ZONE, s % 2**32, params, dim)
         rng_locations = Random(derive_seed(seed, "synthetic", s, "locations"))
         rider_vector, *driver_vectors = (
             tuple(rng_locations.randrange(params.capacity) for _ in range(dim))

@@ -192,13 +192,12 @@ def generate_grid_network(
     weight_range: tuple[int, int] = (1, 10),
     seed: int = 0,
     landmarks: int = 8,
-    subset_size: int = 1,
 ) -> RoadNetwork:
     """Grid graph with random integer edge weights and sampled landmarks.
 
-    Landmark subsets are singletons by default, drawn without replacement
-    while the graph has enough nodes and with replacement across subsets
-    otherwise (a one-node grid still embeds).
+    Landmark subsets are singletons, drawn without replacement while the
+    graph has enough nodes and with replacement otherwise (a one-node grid
+    still embeds).
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
@@ -221,12 +220,10 @@ def generate_grid_network(
             if r + 1 < rows:
                 edges.append((node, node + cols, rng.randint(lo, hi)))
 
-    size = min(subset_size, num_nodes)
-    if landmarks * size <= num_nodes:
-        pool = rng.sample(range(num_nodes), landmarks * size)
-        subsets = [pool[k * size : (k + 1) * size] for k in range(landmarks)]
+    if landmarks <= num_nodes:
+        subsets = [[node] for node in rng.sample(range(num_nodes), landmarks)]
     else:
-        subsets = [rng.sample(range(num_nodes), size) for _ in range(landmarks)]
+        subsets = [rng.sample(range(num_nodes), 1) for _ in range(landmarks)]
 
     return RoadNetwork(num_nodes, edges, subsets)
 

@@ -10,7 +10,6 @@ from ridecrypt.attack import (
     IncrementalAttack,
     deanonymize,
     embedding_index,
-    has_full_coverage,
     recover_block,
     recover_driver_vectors,
     recover_rider_vector,
@@ -43,12 +42,12 @@ class TestLedgerRecord:
     def test_normalizes_by_weight(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 1, driver_id=0, payload=8)
-        assert ledger.diffs(0, 1) == [2]
+        assert ledger.driver_diffs(0) == {(0, 1): 2}
 
     def test_zero_payload(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 0, driver_id=0, payload=0)
-        assert ledger.diffs(0, 0) == [0]
+        assert ledger.driver_diffs(0) == {(0, 0): 0}
 
     def test_non_divisible_payload_faults(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
@@ -77,7 +76,10 @@ class TestLedgerRecord:
         ledger.record(0, 0, driver_id=4, payload=1)
         ledger.record(0, 0, driver_id=2, payload=-1)
         ledger.record(0, 0, driver_id=4, payload=3)
-        assert ledger.diffs(0, 0) == [1, -1, 3]
+        # The position keeps every difference: 1, -1 and 3 leave no block
+        # value for 2-bit blocks.
+        with pytest.raises(LedgerFault):
+            ledger.interval(0, 0)
         assert ledger.driver_diffs(4) == {(0, 0): 3}
         assert ledger.drivers() == [2, 4]
 
@@ -125,10 +127,34 @@ class TestRecoverBlock:
         lo2, hi2 = recover_block([z - x for z in zs + [extra]], bits)
         assert lo <= lo2 and hi2 <= hi
 
-    def test_full_coverage_predicate(self):
-        assert has_full_coverage([-1, 0, 1, 2], 2)
-        assert not has_full_coverage([-1, 0, 1], 2)
-        assert not has_full_coverage([0, 0, 0, 0], 2)
+    @given(st.data())
+    def test_ledger_position_equals_recover_block(self, data):
+        params = BlockParams(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
+        top = params.base - 1
+        j = data.draw(st.integers(0, params.num_blocks - 1))
+        # Arbitrary in-range differences, consistent or not, from few
+        # driver ids so that ids repeat.
+        feed = data.draw(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(-top, top)), max_size=20)
+        )
+        ledger = DifferenceLedger(params, 1)
+        assert ledger.interval(0, j) == (0, top)
+        assert not ledger.is_unique(0, j, strict=True)
+        diffs = []
+        for driver_id, d in feed:
+            ledger.record(0, j, driver_id, d * params.weight(j))
+            diffs.append(d)
+            assert ledger.is_unique(0, j, strict=True) == (
+                len(set(diffs)) == params.base
+            )
+            try:
+                expected = recover_block(diffs, params.block_bits)
+            except LedgerFault:
+                with pytest.raises(LedgerFault):
+                    ledger.interval(0, j)
+                continue
+            assert ledger.interval(0, j) == expected
+            assert ledger.is_unique(0, j) == (expected[0] == expected[1])
 
 
 class TestRecoverRiderVector:
@@ -319,7 +345,7 @@ class TestRunAttack:
             (k, honest_matches(params, dim, rider, vec)) for k, vec in drivers.items()
         ]
         report = run_attack(params, dim, feed, strict=True)
-        assert report.complete
+        assert report.rider_vector is not None
         assert report.rider_vector == rider
         assert report.driver_vectors == drivers
         assert report.blocks_recovered == report.blocks_total == dim * 2
@@ -334,7 +360,7 @@ class TestRunAttack:
             for k, node in enumerate(rng_nodes(net, 40, seed=8))
         ]
         report = run_attack(params, net.dim, feed, embedding_table=table)
-        if report.complete:
+        if report.rider_vector is not None:
             assert report.rider_vector == table[rider_node]
             assert report.rider_node is not None
             assert table[report.rider_node] == table[rider_node]

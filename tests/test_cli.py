@@ -31,6 +31,15 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "1..4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--weights", "-1", "5"], ["--l", "4", "--m", "16"]],
+    )
+    def test_invalid_weights_or_block_count_exits_2(self, args, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--mode", "protocol_only", "--out", str(tmp_path / "r.jsonl"), *args])
+        assert excinfo.value.code == 2
+
     def test_invalid_trials_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", "table1", "--trials", "0"])

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ridecrypt.errors import CapacityError, LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import (
@@ -59,6 +61,14 @@ class TestAnalytics:
         assert blocks_needed(max_value, bits) == count
         assert (1 << (count * bits)) - 1 >= max_value
 
+    @given(st.integers(0, 2**62 - 1), st.integers(1, 8))
+    def test_blocks_needed_covers_and_is_minimal(self, max_value, bits):
+        count = blocks_needed(max_value, bits)
+        assert count >= 1
+        assert (1 << (count * bits)) - 1 >= max_value
+        if count > 1:
+            assert (1 << ((count - 1) * bits)) - 1 < max_value
+
 
 class TestCoverageSimulation:
     def test_deterministic(self):
@@ -113,6 +123,8 @@ class TestConfigValidation:
             {"dim": 0},
             {"rows": 0},
             {"weight_range": (5, 2)},
+            {"weight_range": (-1, 5)},
+            {"block_bits": 4, "num_blocks": 16},
             {"num_drivers": 0},
             {"trials": 0},
             {"workers": 0},
