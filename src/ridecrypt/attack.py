@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .codec import BlockParams, decompose, recompose
 from .errors import LedgerFault
-from .roadnet import RneVector, rne_distance
+from .roadnet import RneVector
 
 # Fills a driver row where no difference was recorded. Differences are at
 # most 2**8 - 1 in magnitude (block widths up to 8 bits), so every one fits
@@ -130,17 +130,6 @@ class DifferenceLedger:
 
     def drivers(self) -> list[int]:
         return sorted(self._rows)
-
-    def driver_diffs(self, driver_id: int) -> dict[tuple[int, int], int]:
-        """This driver's difference per position (latest entry if repeated)."""
-        row = self._rows.get(driver_id)
-        if row is None:
-            return {}
-        return {
-            divmod(pos, self.params.num_blocks): d
-            for pos, d in enumerate(row)
-            if d != _MISSING
-        }
 
     def driver_rows(self, driver_ids: Sequence[int]) -> list[list[int]]:
         """The given drivers' rows, in the given order; a position a driver
@@ -250,8 +239,8 @@ def recover_driver_vectors(
 
 
 def embedding_index(table: Sequence[RneVector]) -> dict[RneVector, tuple[int, int]]:
-    """Map each distinct embedding to ``(lowest node, nodes sharing it)``:
-    the answer :func:`deanonymize` gives for an exact match."""
+    """Map each distinct embedding in ``table`` to ``(lowest node, nodes
+    sharing it)``, the answer :func:`deanonymize` gives for it."""
     index: dict[RneVector, tuple[int, int]] = {}
     for node, vector in enumerate(table):
         key = tuple(vector)
@@ -261,41 +250,26 @@ def embedding_index(table: Sequence[RneVector]) -> dict[RneVector, tuple[int, in
 
 
 def deanonymize(
-    vector: Sequence[int],
-    table: Sequence[RneVector],
-    index: Mapping[RneVector, tuple[int, int]] | None = None,
+    vector: Sequence[int], index: Mapping[RneVector, tuple[int, int]]
 ) -> tuple[int, int]:
-    """Map a recovered vector back to a node of the embedded network.
+    """Map a recovered vector back to the node it embeds.
 
-    Returns ``(node, ambiguity)`` where the node's embedding is at minimal
-    Chebyshev distance from ``vector`` (distance zero for an exact match),
-    the lowest such node id wins, and ``ambiguity`` counts how many nodes
-    tie at that distance. With ``index`` (from :func:`embedding_index` over
-    the same table), an exact match is a lookup; the scan covers the rest.
+    ``index`` comes from :func:`embedding_index` over the network's
+    embedding table. Returns ``(node, ambiguity)``: the lowest node whose
+    embedding equals ``vector`` and how many nodes share that embedding.
+    A sound ledger only yields true embeddings, so a vector that is no
+    node's embedding raises :class:`LedgerFault`.
     """
-    if not table:
-        raise ValueError("embedding table is empty")
-    if index is not None:
-        hit = index.get(tuple(vector))
-        if hit is not None:
-            return hit
-    best_node = 0
-    best_dist = rne_distance(vector, table[0])
-    count = 1
-    for node in range(1, len(table)):
-        d = rne_distance(vector, table[node])
-        if d < best_dist:
-            best_node, best_dist, count = node, d, 1
-        elif d == best_dist:
-            count += 1
-    return best_node, count
+    hit = index.get(tuple(vector))
+    if hit is None:
+        raise LedgerFault(f"recovered vector {tuple(vector)} embeds no node")
+    return hit
 
 
 @dataclass
 class RecoveryReport:
     """Outcome of one attack run over a session's matched responses."""
 
-    strict: bool
     blocks_total: int
     blocks_recovered: int
     candidates: dict[tuple[int, int], tuple[int, int]]
@@ -314,7 +288,9 @@ class IncrementalAttack:
     ``unique_at`` records, per position, after how many responses the rider
     block became unique under the chosen mode. Uniqueness never reverts as
     differences accumulate, so each response re-checks only the positions
-    still open.
+    still open. With ``embedding_table``, a report that recovers the rider
+    also names the rider's and every driver's node through
+    :func:`deanonymize`.
     """
 
     def __init__(
@@ -326,13 +302,14 @@ class IncrementalAttack:
     ) -> None:
         self.ledger = DifferenceLedger(params, dim)
         self.strict = strict
-        self.embedding_table = embedding_table
         self.responses = 0
         self.unique_at: dict[tuple[int, int], int | None] = {
             pos: None for pos in self.ledger.positions()
         }
         self._open = list(self.unique_at)
-        self._index: dict[RneVector, tuple[int, int]] | None = None
+        self._index = (
+            None if embedding_table is None else embedding_index(embedding_table)
+        )
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output."""
@@ -350,7 +327,6 @@ class IncrementalAttack:
         """Everything recoverable from the responses fed so far."""
         rider_vector, candidates = recover_rider_vector(self.ledger, strict=self.strict)
         report = RecoveryReport(
-            strict=self.strict,
             blocks_total=len(self.unique_at),
             blocks_recovered=len(self.unique_at) - len(self._open),
             candidates=candidates,
@@ -359,15 +335,12 @@ class IncrementalAttack:
         )
         if rider_vector is not None:
             report.driver_vectors = recover_driver_vectors(self.ledger, rider_vector)
-            table = self.embedding_table
-            if table is not None:
-                if self._index is None:
-                    self._index = embedding_index(table)
+            if self._index is not None:
                 report.rider_node, report.rider_ambiguity = deanonymize(
-                    rider_vector, table, self._index
+                    rider_vector, self._index
                 )
                 report.driver_nodes = {
-                    driver_id: deanonymize(vec, table, self._index)
+                    driver_id: deanonymize(vec, self._index)
                     for driver_id, vec in report.driver_vectors.items()
                 }
         return report

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="blocks per coordinate (default: sized to the network diameter)",
     )
-    parser.add_argument("--n", type=int, default=8, help="embedding dimension")
+    parser.add_argument("--n", type=int, default=8, help="embedding dimension, <= 65536")
     parser.add_argument(
         "--trials",
         type=int,
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict-lemma",
         action="store_true",
-        help="declare a block recovered only once all 2^l differences appeared",
+        help="end_to_end: recover a block only once all 2^l differences appeared",
     )
     parser.add_argument("--rows", type=int, default=6, help="grid rows")
     parser.add_argument("--cols", type=int, default=6, help="grid columns")
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--merge-requests",
         action="store_true",
-        help="accumulate one ledger across all sessions of a fixed rider",
+        help="end_to_end: one ledger accumulates all sessions of a fixed rider",
     )
     parser.add_argument(
         "--workers",

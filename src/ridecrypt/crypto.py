@@ -21,6 +21,8 @@ PRF_OUTPUT_BYTES = 16
 KEY_BYTES = 32
 NONCE_BYTES = 16
 MESSAGE_BYTES = 13  # 1 + 2 + 2 + 4 + 4
+#: Coordinates the message's 2-byte coordinate field can name.
+MAX_DIM = 1 << 16
 
 #: Recorded in experiment reports so runs are reproducible elsewhere.
 PRF_CONSTRUCTION = "HMAC-SHA256/128"
@@ -67,11 +69,6 @@ class CollisionWatchdog:
                 f"distinct PRF inputs produced equal output {output.hex()} "
                 f"after {self.evaluations} evaluations"
             )
-
-    def reset(self) -> None:
-        self.evaluations = 0
-        self.collisions = 0
-        self._seen.clear()
 
 
 #: Process-wide watchdog shared by both PRFs.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
-from .crypto import PRF_CONSTRUCTION, SystemKeys, issue_system_keys
+from .crypto import MAX_DIM, PRF_CONSTRUCTION, SystemKeys, issue_system_keys
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .protocol import (
     RideContext,
@@ -117,6 +117,9 @@ def simulate_coverage_draws(
     (seed, block width, chunk index); chunk boundaries, not worker count,
     determine the random streams.
     """
+    if not 1 <= block_bits <= 5:
+        # Coverage masks are int64 bitsets with one bit per block value.
+        raise ValueError(f"block_bits must be in 1..5, got {block_bits}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sizes = [
@@ -207,8 +210,8 @@ class ExperimentConfig:
             raise ValueError("supported block widths are 1..4")
         if self.num_blocks is not None:
             BlockParams(self.resolved_block_bits, self.num_blocks)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be in 1..{MAX_DIM}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         if self.weight_range[0] > self.weight_range[1]:
@@ -221,6 +224,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.mode != "end_to_end" and (self.strict_lemma or self.merge_requests):
+            raise ValueError("strict_lemma and merge_requests need mode end_to_end")
 
     @property
     def resolved_block_bits(self) -> int:

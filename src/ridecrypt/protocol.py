@@ -271,20 +271,3 @@ class ServiceProvider:
             )
             for r in responses
         )[1]
-
-
-# Re-exported so protocol users can catch the crypto-layer fault directly.
-__all__ = [
-    "RideContext",
-    "RiderEntry",
-    "RiderBlockGroup",
-    "RiderRequest",
-    "DriverEntry",
-    "DriverResponse",
-    "rider_encrypt",
-    "driver_encrypt",
-    "sp_match_block",
-    "sp_compute_distance",
-    "ServiceProvider",
-    "PrfCollisionError",
-]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -17,13 +18,14 @@ from ridecrypt.attack import (
 )
 from ridecrypt.codec import BlockParams, decompose, weighted_difference
 from ridecrypt.errors import LedgerFault
-from ridecrypt.harness import blocks_needed
-from ridecrypt.roadnet import RoadNetwork, generate_grid_network, rne_distance
+from ridecrypt.roadnet import RoadNetwork, generate_grid_network
 
 
-def rng_nodes(net, count, seed):
+def random_vectors(params, dim, count, seed):
     rng = random.Random(seed)
-    return [rng.randrange(net.num_nodes) for _ in range(count)]
+    return [
+        tuple(rng.randrange(params.capacity) for _ in range(dim)) for _ in range(count)
+    ]
 
 
 def honest_matches(params, dim, rider_vector, driver_vector):
@@ -42,12 +44,12 @@ class TestLedgerRecord:
     def test_normalizes_by_weight(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 1, driver_id=0, payload=8)
-        assert ledger.driver_diffs(0) == {(0, 1): 2}
+        assert ledger.driver_rows([0]) == [[-(2**15), 2]]
 
     def test_zero_payload(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 0, driver_id=0, payload=0)
-        assert ledger.driver_diffs(0) == {(0, 0): 0}
+        assert ledger.driver_rows([0]) == [[0, -(2**15)]]
 
     def test_non_divisible_payload_faults(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
@@ -80,7 +82,7 @@ class TestLedgerRecord:
         # value for 2-bit blocks.
         with pytest.raises(LedgerFault):
             ledger.interval(0, 0)
-        assert ledger.driver_diffs(4) == {(0, 0): 3}
+        assert ledger.driver_rows([4]) == [[3]]
         assert ledger.drivers() == [2, 4]
 
 
@@ -272,7 +274,7 @@ class TestDeanonymize:
         table = net.embedding_table()
         assert len(set(table)) == len(table), "seed chosen for unique embeddings"
         for node in range(net.num_nodes):
-            assert deanonymize(table[node], table) == (node, 1)
+            assert deanonymize(table[node], embedding_index(table)) == (node, 1)
 
     def test_tied_embeddings_take_lowest_id(self):
         # A symmetric path: nodes 0 and 2 sit at distance 2 from the only
@@ -280,32 +282,19 @@ class TestDeanonymize:
         net = RoadNetwork(3, [(0, 1, 2), (1, 2, 2)], [[1]])
         table = net.embedding_table()
         assert table[0] == table[2]
-        assert deanonymize(table[0], table) == (0, 2)
+        assert deanonymize(table[0], embedding_index(table)) == (0, 2)
 
-    def test_nearest_fallback_minimizes_distance(self):
+    def test_empty_table(self):
+        with pytest.raises(LedgerFault):
+            deanonymize((1, 2), embedding_index([]))
+
+    def test_vector_of_no_node_faults_and_names_it(self):
         net = generate_grid_network(4, 4, (1, 10), seed=9)
         table = net.embedding_table()
         probe = tuple(c + 1 for c in table[5])
-        node, _ = deanonymize(probe, table)
-        best = min(rne_distance(probe, vec) for vec in table)
-        assert rne_distance(probe, table[node]) == best
-
-    def test_empty_table(self):
-        with pytest.raises(ValueError):
-            deanonymize((1, 2), [])
-        with pytest.raises(ValueError):
-            deanonymize((1, 2), [], {})
-
-    def test_index_lookup_equals_scan(self):
-        for net in (
-            RoadNetwork(3, [(0, 1, 2), (1, 2, 2)], [[1]]),
-            generate_grid_network(4, 4, (1, 3), seed=9, landmarks=2),
-        ):
-            table = net.embedding_table()
-            index = embedding_index(table)
-            probes = set(table) | {tuple(c + 1 for c in vec) for vec in table}
-            for probe in sorted(probes):
-                assert deanonymize(probe, table, index) == deanonymize(probe, table)
+        assert probe not in table
+        with pytest.raises(LedgerFault, match=re.escape(str(probe))):
+            deanonymize(probe, embedding_index(table))
 
 
 class TestRunAttack:
@@ -351,19 +340,23 @@ class TestRunAttack:
         assert report.blocks_recovered == report.blocks_total == dim * 2
 
     def test_attack_with_embedding_table_names_nodes(self):
-        net = generate_grid_network(4, 4, (1, 5), seed=3, landmarks=6)
-        table = net.embedding_table()
-        params = BlockParams(2, blocks_needed(net.diameter(), 2))
+        # Random vectors rather than a grid: on grids the rider's blocks
+        # rarely reach both ends of their range, so the rider stays unknown.
+        params = BlockParams(2, 2)
+        dim = 3
+        table = random_vectors(params, dim, 40, seed=5)
         rider_node = 5
         feed = [
-            (k, honest_matches(params, net.dim, table[rider_node], table[node]))
-            for k, node in enumerate(rng_nodes(net, 40, seed=8))
+            (k, honest_matches(params, dim, table[rider_node], vec))
+            for k, vec in enumerate(table)
         ]
-        report = run_attack(params, net.dim, feed, embedding_table=table)
-        if report.rider_vector is not None:
-            assert report.rider_vector == table[rider_node]
-            assert report.rider_node is not None
-            assert table[report.rider_node] == table[rider_node]
+        report = run_attack(params, dim, feed, embedding_table=table)
+        assert report.rider_vector == table[rider_node]
+        assert table[report.rider_node] == table[rider_node]
+        assert len(report.driver_nodes) == len(table)
+        for k, (node, ambiguity) in report.driver_nodes.items():
+            assert table[node] == table[k]
+            assert ambiguity == table.count(table[k])
 
 
 class TestIncrementalAttack:
@@ -398,6 +391,18 @@ class TestIncrementalAttack:
                 assert report.blocks_recovered == sum(
                     at is not None for at in expected[0].values()
                 )
+
+    def test_rider_missing_from_the_table_faults(self):
+        params = BlockParams(2, 2)
+        dim = 3
+        rider, *drivers = random_vectors(params, dim, 41, seed=5)
+        table = [vec for vec in drivers if vec != rider]
+        attack = IncrementalAttack(params, dim, embedding_table=table)
+        for k, vec in enumerate(drivers):
+            attack.feed(k, honest_matches(params, dim, rider, vec))
+        assert recover_rider_vector(attack.ledger)[0] == rider
+        with pytest.raises(LedgerFault, match="embeds no node"):
+            attack.report()
 
 
 class TestSoundness:

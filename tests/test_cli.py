@@ -33,7 +33,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "args",
-        [["--weights", "-1", "5"], ["--l", "4", "--m", "16"]],
+        [["--weights", "-1", "5"], ["--l", "4", "--m", "16"], ["--n", "65537"]],
     )
     def test_invalid_weights_or_block_count_exits_2(self, args, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -43,6 +43,13 @@ class TestUsageErrors:
     def test_invalid_trials_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", "table1", "--trials", "0"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("mode", ["table1", "protocol_only"])
+    @pytest.mark.parametrize("flag", ["--strict-lemma", "--merge-requests"])
+    def test_attack_flags_outside_end_to_end_exit_2(self, mode, flag, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--mode", mode, flag, "--out", str(tmp_path / "r.jsonl")])
         assert excinfo.value.code == 2
 
 

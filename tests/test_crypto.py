@@ -186,13 +186,6 @@ class TestCollisionWatchdog:
         with pytest.raises(PrfCollisionError):
             local.observe(b"F", b"key", b"msg", b"o" * 16)
 
-    def test_reset(self):
-        local = CollisionWatchdog()
-        local.observe(b"H", b"k", b"m", b"o" * 16)
-        local.reset()
-        assert local.evaluations == 0
-        assert local.tracked == 0
-
     def test_global_watchdog_sees_library_evaluations(self):
         before = watchdog.evaluations
         prf_h(b"k" * KEY_BYTES, b"watchdog-probe")

@@ -90,6 +90,13 @@ class TestCoverageSimulation:
         with pytest.raises(ValueError):
             simulate_coverage_draws(2, 0, seed=1)
 
+    @pytest.mark.parametrize("bits", [0, 6])
+    def test_rejects_widths_beyond_the_mask(self, bits):
+        # 2**6 block values overflow the int64 coverage mask, so the
+        # simulation would never see full coverage.
+        with pytest.raises(ValueError):
+            simulate_coverage_draws(bits, 10, seed=1)
+
 
 class TestTable1:
     def test_row_fields_and_rough_mean(self):
@@ -128,6 +135,7 @@ class TestConfigValidation:
             {"num_drivers": 0},
             {"trials": 0},
             {"workers": 0},
+            {"dim": 65537},
         ],
     )
     def test_bad_values(self, kwargs):

@@ -4,11 +4,13 @@
 ``perfbench/worker.py`` builds its runs from harness keywords, so a rename
 here would crash ``perfbench/run.py --trace 1``. Demos 01 and 02 exercise
 the public API end to end; demo 03 takes several seconds and is left out.
+The README's quick start runs as written and prints what its comment says.
 """
 
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -58,3 +60,19 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_prints_its_promise():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1, "the README holds one python example"
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["7", "30"]
