@@ -168,21 +168,16 @@ def recover_rider_vector(
     position is still ambiguous, the candidate intervals are always
     reported.
     """
-    candidates: dict[tuple[int, int], tuple[int, int]] = {}
-    blocks: dict[tuple[int, int], int] = {}
-    complete = True
-    for pos in ledger.positions():
-        interval = ledger.interval(*pos)
-        candidates[pos] = interval
-        if ledger.is_unique(*pos, strict=strict):
-            blocks[pos] = interval[0]
-        else:
-            complete = False
-    if not complete:
+    # Every interval is read, in position order, before any uniqueness
+    # test, so the first inconsistent position is the one that faults. A
+    # unique position's interval is the single point ``(block, block)``.
+    candidates = {pos: ledger.interval(*pos) for pos in ledger.positions()}
+    if not all(ledger.is_unique(*pos, strict=strict) for pos in candidates):
         return None, candidates
     vector = tuple(
         recompose(
-            [blocks[(i, j)] for j in range(ledger.params.num_blocks)], ledger.params
+            [candidates[(i, j)][0] for j in range(ledger.params.num_blocks)],
+            ledger.params,
         )
         for i in range(ledger.dim)
     )

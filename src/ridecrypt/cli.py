@@ -32,17 +32,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument(
         "--l",
+        dest="block_bits",
+        metavar="L",
         type=int,
         default=None,
         help="bits per block (1..4); table1 runs all four widths when omitted",
     )
     parser.add_argument(
         "--m",
+        dest="num_blocks",
+        metavar="M",
         type=int,
         default=None,
         help="blocks per coordinate (default: sized to the network diameter)",
     )
-    parser.add_argument("--n", type=int, default=8, help="embedding dimension, <= 65536")
+    parser.add_argument(
+        "--n", dest="dim", metavar="N", type=int, default=8, help="embedding dimension, <= 65536"
+    )
     parser.add_argument(
         "--trials",
         type=int,
@@ -51,6 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--drivers",
+        dest="num_drivers",
+        metavar="DRIVERS",
         type=int,
         default=None,
         help="responding drivers per session",
@@ -75,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cols", type=int, default=6, help="grid columns")
     parser.add_argument(
         "--weights",
+        dest="weight_range",
         type=int,
         nargs=2,
         default=(1, 9),
@@ -122,36 +131,21 @@ def _summarize(records: list[dict]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    config = ExperimentConfig(
-        mode=args.mode,
-        block_bits=args.l,
-        num_blocks=args.m,
-        dim=args.n,
-        rows=args.rows,
-        cols=args.cols,
-        weight_range=tuple(args.weights),
-        network_file=args.network_file,
-        num_drivers=args.drivers,
-        trials=args.trials,
-        seed=args.seed,
-        strict_lemma=args.strict_lemma,
-        merge_requests=args.merge_requests,
-        workers=args.workers,
-    )
+    options = vars(parser.parse_args(argv))
+    out = options.pop("out")
+    options["weight_range"] = tuple(options["weight_range"])
     try:
-        config.validate()
+        config = ExperimentConfig(**options)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
-    path = args.out or default_report_path(args.mode)
+    path = out or default_report_path(config.mode)
     try:
         records = run_experiment(config)
         write_report(path, records)
     except (CapacityError, LedgerFault, OSError, ProtocolFault, ValueError) as exc:
         print(
-            f"error: {exc} (mode {args.mode}, seed {args.seed})", file=sys.stderr
+            f"error: {exc} (mode {config.mode}, seed {config.seed})", file=sys.stderr
         )
         return 1
 

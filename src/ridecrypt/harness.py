@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -53,6 +53,15 @@ _TRIALS_CHUNK = 1 << 14
 
 #: Zone id of every synthetic session's ride context.
 SYNTHETIC_ZONE = 7
+
+#: Report keys of the fields that reports name by the paper's symbols;
+#: every other field keeps its own name.
+REPORT_KEYS = {"block_bits": "l", "num_blocks": "m", "dim": "n"}
+
+
+def _report_fields(instance) -> dict:
+    """A dataclass's fields as record entries, under their report keys."""
+    return {REPORT_KEYS.get(name, name): value for name, value in asdict(instance).items()}
 
 
 def derive_seed(master: int, *path) -> int:
@@ -150,17 +159,7 @@ class Table1Row:
     expected_drivers: int
 
     def to_record(self) -> dict:
-        return {
-            "record": "table1_row",
-            "schema": SCHEMA_VERSION,
-            "l": self.block_bits,
-            "trials": self.trials,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "analytic": self.analytic,
-            "analytic_ceiling": self.analytic_ceiling,
-            "expected_drivers": self.expected_drivers,
-        }
+        return {"record": "table1_row", "schema": SCHEMA_VERSION, **_report_fields(self)}
 
 
 def run_table1(
@@ -184,9 +183,12 @@ def run_table1(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; validation happens in :meth:`validate`."""
+    """Everything a run needs, and the one declaration of a run's options:
+    the CLI flags fill its fields by name and the ``config`` record is
+    derived from them. Frozen and checked when built, so a config that
+    exists is valid; construction raises ``ValueError`` otherwise."""
 
     mode: str
     block_bits: int | None = None  # None: table1 runs all widths, sessions use 2
@@ -202,6 +204,9 @@ class ExperimentConfig:
     strict_lemma: bool = False
     merge_requests: bool = False
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -249,7 +254,13 @@ class ExperimentConfig:
 
 def _build_network(config: ExperimentConfig) -> RoadNetwork:
     if config.network_file:
-        return load_network(config.network_file)
+        net = load_network(config.network_file)
+        if net.dim > MAX_DIM:
+            raise ValueError(
+                f"network file defines {net.dim} landmark subsets; a message "
+                f"names at most {MAX_DIM} coordinates"
+            )
+        return net
     return generate_grid_network(
         config.rows,
         config.cols,
@@ -360,7 +371,6 @@ def _count(records: Sequence[dict], key: str) -> int:
 def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the session modes: full protocol per session, plus the recovery
     phase in ``end_to_end`` mode. Returns (session records, aggregate)."""
-    config.validate()
     if config.mode not in ("end_to_end", "protocol_only"):
         raise ValueError(f"run_sessions does not handle mode {config.mode!r}")
     net = _build_network(config)
@@ -562,26 +572,12 @@ def run_synthetic_sessions(
 
 
 def config_record(config: ExperimentConfig) -> dict:
-    return {
-        "record": "config",
-        "schema": SCHEMA_VERSION,
-        "mode": config.mode,
-        "l": config.block_bits,
-        "m": config.num_blocks,
-        "n": config.dim,
-        "rows": config.rows,
-        "cols": config.cols,
-        "weight_range": list(config.weight_range),
-        "network_file": config.network_file,
-        "num_drivers": config.num_drivers,
-        "trials": config.trials,
-        "seed": config.seed,
-        "strict_lemma": config.strict_lemma,
-        "merge_requests": config.merge_requests,
-        # Worker count is an execution detail: it must not change the
-        # report, so it is not part of it.
-        "prf": PRF_CONSTRUCTION,
-    }
+    record = {"record": "config", "schema": SCHEMA_VERSION, **_report_fields(config)}
+    # Worker count is an execution detail: it must not change the
+    # report, so it is not part of it.
+    del record["workers"]
+    record["prf"] = PRF_CONSTRUCTION
+    return record
 
 
 def dump_records(records: Sequence[dict]) -> str:
@@ -611,7 +607,6 @@ def write_report(path: str, records: Sequence[dict]) -> None:
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Dispatch a config to its runner and return all report records."""
-    config.validate()
     records = [config_record(config)]
     if config.mode == "table1":
         widths = [1, 2, 3, 4] if config.block_bits is None else [config.block_bits]

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from ridecrypt import cli
-from ridecrypt.cli import main
+from ridecrypt.cli import build_parser, main
+from ridecrypt.crypto import MAX_DIM
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
+from ridecrypt.harness import ExperimentConfig
 from ridecrypt.protocol import ServiceProvider
-from ridecrypt.roadnet import generate_grid_network, save_network
+from ridecrypt.roadnet import RoadNetwork, generate_grid_network, save_network
 
 
 def read_records(path):
@@ -51,6 +54,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", mode, flag, "--out", str(tmp_path / "r.jsonl")])
         assert excinfo.value.code == 2
+
+    def test_every_flag_fills_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {action.dest for action in build_parser()._actions}
+        assert dests - {"help", "out"} <= fields
 
 
 class TestTable1Mode:
@@ -184,6 +192,24 @@ class TestSessionModes:
         assert err.startswith("error:")
         assert "mode table1" in err and "seed 4" in err
         assert blocker.read_text() == ""
+
+    def test_too_many_landmark_subsets_fail_before_any_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept a network whose embedding no message can carry")
+
+        monkeypatch.setattr(RoadNetwork, "distances_from", refuse)
+        net_path = tmp_path / "wide.txt"
+        net_path.write_text("2 1\n0 1 1\n" + "0\n" * (MAX_DIM + 1))
+        code = main(
+            ["--mode", "protocol_only", "--network-file", str(net_path),
+             "--l", "1", "--m", "1", "--trials", "1", "--drivers", "1",
+             "--out", str(tmp_path / "x.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{MAX_DIM + 1} landmark subsets" in err and str(MAX_DIM) in err
 
     def test_missing_network_file_is_runtime_error(self, tmp_path, capsys):
         code = main(

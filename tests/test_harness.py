@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ridecrypt.errors import CapacityError, LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import (
     EXPECTED_DRIVERS,
+    REPORT_KEYS,
     ExperimentConfig,
     blocks_needed,
     config_record,
@@ -114,7 +116,10 @@ class TestTable1:
     def test_record_shape(self):
         record = run_table1(1, trials=100, seed=2).to_record()
         assert record["record"] == "table1_row"
-        assert set(record) >= {"l", "trials", "mean", "analytic", "expected_drivers"}
+        assert set(record) == {
+            "record", "schema", "l", "trials", "mean", "stderr", "analytic",
+            "analytic_ceiling", "expected_drivers",
+        }
 
 
 class TestConfigValidation:
@@ -141,6 +146,15 @@ class TestConfigValidation:
     def test_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="end_to_end", **kwargs).validate()
+
+    def test_checked_when_built(self):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(mode="end_to_end", workers=0)
+
+    def test_frozen(self):
+        config = ExperimentConfig(mode="end_to_end")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 0
 
     def test_defaults_resolve(self):
         config = ExperimentConfig(mode="end_to_end", block_bits=2)
@@ -315,6 +329,12 @@ class TestReports:
     def test_config_record_roundtrips_through_json(self):
         record = config_record(small_config())
         assert json.loads(dump_records([record]))["mode"] == "protocol_only"
+
+    def test_config_record_keys_derive_from_fields(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers"}
+        assert set(config_record(small_config(workers=3))) == {
+            REPORT_KEYS.get(name, name) for name in fields
+        } | {"record", "schema", "prf"}
 
     def test_default_report_path_env_override(self, monkeypatch):
         monkeypatch.setenv("RIDECRYPT_REPORT_DIR", "/tmp/ridecrypt-out")

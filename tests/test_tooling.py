@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from ridecrypt.cli import build_parser
 from ridecrypt.harness import ExperimentConfig, run_synthetic_sessions
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,3 +77,16 @@ def test_readme_quick_start_prints_its_promise():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["7", "30"]
+
+
+def test_readme_flags_list_every_option():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        listed = re.search(r"^Flags: `(.*?)`", fh.read(), re.DOTALL | re.MULTILINE)
+    assert listed, "the README lists the CLI flags"
+    options = [
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert re.findall(r"--[\w-]+", listed.group(1)) == options
