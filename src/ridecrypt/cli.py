@@ -12,6 +12,7 @@ import sys
 
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .harness import (
+    MAX_WORKERS,
     MODES,
     ExperimentConfig,
     default_report_path,
@@ -99,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads (same output); --merge-requests runs serially",
+        help=(
+            f"worker threads, 1..{MAX_WORKERS} (same output); "
+            "--merge-requests runs serially"
+        ),
     )
     return parser
 

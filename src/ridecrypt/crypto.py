@@ -5,6 +5,14 @@ a long-term shared secret and a structured message; the outer function keys
 on an inner output and is applied to a per-block-group nonce. A global
 collision watchdog certifies that no two distinct inputs produced equal
 outputs during a run, which is the assumption the matching step leans on.
+
+Within one matching session every driver's inner input and every outer
+input of the matching party is one the rider already evaluated. Inside a
+``session_memo()`` scope each distinct input is therefore computed, and
+shown to the watchdog, once; repeats are answered from the scope's memo,
+which is discarded when the scope exits. The watchdog already treats a
+repeated identical input as a no-op, so it certifies the same distinct
+inputs as without the memo.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ import hashlib
 import hmac
 import random
 import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import PrfCollisionError
 
@@ -36,6 +47,11 @@ class CollisionWatchdog:
     collision (fingerprints are deterministic). Tracking stops after
     ``capacity`` distinct outputs so memory stays bounded; the evaluation
     counter keeps running regardless.
+
+    ``evaluations`` counts the HMACs actually computed: inside a
+    ``session_memo()`` scope an input is observed only the first time it
+    is evaluated, which leaves ``tracked`` and the certificate unchanged
+    because an identical repeat never adds or checks anything.
     """
 
     CAPACITY = 10_000_000
@@ -75,18 +91,48 @@ class CollisionWatchdog:
 watchdog = CollisionWatchdog()
 
 
+#: Outputs of the open session scope by (domain, key, message), or None
+#: outside one. A context variable, so every thread has its own scope.
+_memo: ContextVar[dict[tuple[bytes, bytes, bytes], bytes] | None] = ContextVar(
+    "prf_session_memo", default=None
+)
+
+
+@contextmanager
+def session_memo() -> Iterator[None]:
+    """Scope in which each distinct PRF input is computed and observed once.
+
+    The memo holds long-term-key outputs, so it lives only for the scope
+    and is discarded on exit, also when the body raises.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _prf(domain: bytes, key: bytes, message: bytes) -> bytes:
+    memo = _memo.get()
+    if memo is not None:
+        output = memo.get((domain, key, message))
+        if output is not None:
+            return output
+    output = hmac.new(key, message, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
+    watchdog.observe(domain, key, message, output)
+    if memo is not None:
+        memo[domain, key, message] = output
+    return output
+
+
 def prf_h(key: bytes, message: bytes) -> bytes:
     """Inner PRF: keyed on a long-term secret, applied to an encoded message."""
-    output = hmac.new(key, message, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
-    watchdog.observe(b"H", key, message, output)
-    return output
+    return _prf(b"H", key, message)
 
 
 def prf_f(derived_key: bytes, nonce: bytes) -> bytes:
     """Outer PRF: keyed on an inner-PRF output, applied to a group nonce."""
-    output = hmac.new(derived_key, nonce, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
-    watchdog.observe(b"F", derived_key, nonce, output)
-    return output
+    return _prf(b"F", derived_key, nonce)
 
 
 def encode_message(

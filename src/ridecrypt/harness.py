@@ -24,7 +24,13 @@ import numpy as np
 
 from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
-from .crypto import MAX_DIM, PRF_CONSTRUCTION, SystemKeys, issue_system_keys
+from .crypto import (
+    MAX_DIM,
+    PRF_CONSTRUCTION,
+    SystemKeys,
+    issue_system_keys,
+    session_memo,
+)
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .protocol import (
     RideContext,
@@ -50,6 +56,10 @@ MODES = ("table1", "end_to_end", "protocol_only")
 EXPECTED_DRIVERS = {1: 3, 2: 9, 3: 22, 4: 55}
 
 _TRIALS_CHUNK = 1 << 14
+
+#: Most worker threads a run may ask for. Fixed rather than tied to the
+#: machine, so the same flags are a usage error everywhere.
+MAX_WORKERS = 64
 
 #: Zone id of every synthetic session's ride context.
 SYNTHETIC_ZONE = 7
@@ -227,8 +237,8 @@ class ExperimentConfig:
             raise ValueError("num_drivers must be >= 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if self.mode != "end_to_end" and (self.strict_lemma or self.merge_requests):
             raise ValueError("strict_lemma and merge_requests need mode end_to_end")
 
@@ -314,16 +324,21 @@ def _session_matches(
     Returns the ``(driver_id, matches)`` pairs: the provider's transcript,
     which is all the attack gets. ``path`` names the session within the
     run's seeds, e.g. ``("session", s)``.
+
+    Every PRF input a driver or the provider evaluates, the rider evaluated
+    already, so the round runs in one ``session_memo`` scope and computes
+    4*n*m*2^l HMACs whatever the number of drivers.
     """
     sp = ServiceProvider(ctx)
-    request = rider_encrypt(
-        rider_vector, keys, ctx, Random(derive_seed(seed, *path, "rider-rng"))
-    )
-    matched = []
-    for k, vector in enumerate(driver_vectors):
-        rng = Random(derive_seed(seed, *path, "driver-rng", k))
-        response = driver_encrypt(k, vector, keys, ctx, rng)
-        matched.append((k, sp.match_response(request, response)))
+    with session_memo():
+        request = rider_encrypt(
+            rider_vector, keys, ctx, Random(derive_seed(seed, *path, "rider-rng"))
+        )
+        matched = []
+        for k, vector in enumerate(driver_vectors):
+            rng = Random(derive_seed(seed, *path, "driver-rng", k))
+            response = driver_encrypt(k, vector, keys, ctx, rng)
+            matched.append((k, sp.match_response(request, response)))
     return matched
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ridecrypt import cli
+from ridecrypt import cli, harness
 from ridecrypt.cli import build_parser, main
 from ridecrypt.crypto import MAX_DIM
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
@@ -47,6 +47,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", "table1", "--trials", "0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("mode", ["table1", "end_to_end"])
+    def test_oversized_workers_exits_2_before_any_thread(
+        self, mode, monkeypatch, capsys
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", unreachable)
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--mode", mode, "--workers", str(harness.MAX_WORKERS + 1)])
+        assert excinfo.value.code == 2
+        assert f"1..{harness.MAX_WORKERS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["table1", "protocol_only"])
     @pytest.mark.parametrize("flag", ["--strict-lemma", "--merge-requests"])

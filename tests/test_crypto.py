@@ -1,9 +1,13 @@
 import hashlib
 import hmac
 import random
+import threading
+import types
 
 import pytest
 
+from ridecrypt import crypto
+from ridecrypt.codec import BlockParams
 from ridecrypt.crypto import (
     KEY_BYTES,
     MESSAGE_BYTES,
@@ -16,10 +20,13 @@ from ridecrypt.crypto import (
     issue_system_keys,
     prf_f,
     prf_h,
+    session_memo,
     watchdog,
     xor_bytes,
 )
 from ridecrypt.errors import PrfCollisionError
+from ridecrypt.harness import _session_matches
+from ridecrypt.protocol import RideContext
 
 # HMAC-SHA256 test vectors from RFC 4231 (test cases 1 and 2).
 RFC4231_VECTORS = [
@@ -190,3 +197,100 @@ class TestCollisionWatchdog:
         before = watchdog.evaluations
         prf_h(b"k" * KEY_BYTES, b"watchdog-probe")
         assert watchdog.evaluations == before + 1
+
+
+@pytest.fixture
+def fresh_watchdog(monkeypatch):
+    """A clean watchdog in place of the global one, so counts are exact
+    whatever ran before and a provoked collision stays out of the suite's."""
+    local = CollisionWatchdog()
+    monkeypatch.setattr(crypto, "watchdog", local)
+    return local
+
+
+class TestSessionMemo:
+    # n=3, m=2, l=2, D=5: the rider's 4*n*m*2^l inputs cover every other one.
+    PARAMS = BlockParams(2, 2)
+    FLOOR = 4 * 3 * 2 * 2**2
+
+    def session(self, slot, seed=4):
+        rng = random.Random(seed)
+        rider, *drivers = (
+            tuple(rng.randrange(self.PARAMS.capacity) for _ in range(3))
+            for _ in range(6)
+        )
+        ctx = RideContext(9, slot, self.PARAMS, 3)
+        return _session_matches(
+            ctx, issue_system_keys(seed), rider, drivers, seed, ("session", slot)
+        )
+
+    def test_session_computes_each_distinct_input_once(self, fresh_watchdog):
+        matched = self.session(slot=1)
+        assert len(matched) == 5
+        assert fresh_watchdog.evaluations == self.FLOOR
+        assert fresh_watchdog.tracked == self.FLOOR
+
+    def test_no_output_is_reused_across_sessions(self, fresh_watchdog):
+        self.session(slot=1)
+        self.session(slot=2)
+        assert fresh_watchdog.evaluations == 2 * self.FLOOR
+        assert fresh_watchdog.tracked == 2 * self.FLOOR
+
+    def test_outside_a_session_every_call_computes(self, fresh_watchdog):
+        key = b"k" * KEY_BYTES
+        for _ in range(3):
+            prf_h(key, b"repeat")
+        assert fresh_watchdog.evaluations == 3
+        assert fresh_watchdog.tracked == 1
+
+    def test_repeat_within_a_session_is_observed_once(self, fresh_watchdog):
+        key = b"k" * KEY_BYTES
+        with session_memo():
+            first = prf_h(key, b"repeat")
+            assert prf_h(key, b"repeat") == first
+            prf_f(first, b"n" * NONCE_BYTES)
+            prf_f(first, b"n" * NONCE_BYTES)
+        assert fresh_watchdog.evaluations == 2
+        assert fresh_watchdog.tracked == 2
+        assert fresh_watchdog.collisions == 0
+
+    def test_collision_is_still_fatal_inside_a_session(
+        self, fresh_watchdog, monkeypatch
+    ):
+        constant = types.SimpleNamespace(digest=lambda: b"\x00" * 32)
+        monkeypatch.setattr(
+            crypto, "hmac", types.SimpleNamespace(new=lambda *args: constant)
+        )
+        key = b"k" * KEY_BYTES
+        with session_memo():
+            prf_h(key, b"one")
+            prf_h(key, b"one")  # identical input: observed once, no collision
+            with pytest.raises(PrfCollisionError):
+                prf_h(key, b"two")
+        assert fresh_watchdog.collisions == 1
+        assert fresh_watchdog.evaluations == 2
+
+    def test_scope_is_reset_after_the_body_raises(self, fresh_watchdog):
+        key = b"k" * KEY_BYTES
+        with pytest.raises(RuntimeError):
+            with session_memo():
+                prf_h(key, b"probe")
+                raise RuntimeError("session failed")
+        prf_h(key, b"probe")
+        assert fresh_watchdog.evaluations == 2
+
+    def test_other_threads_do_not_share_the_scope(self, fresh_watchdog):
+        key = b"k" * KEY_BYTES
+
+        def evaluate_twice():
+            prf_h(key, b"probe")
+            prf_h(key, b"probe")
+
+        with session_memo():
+            thread = threading.Thread(target=evaluate_twice)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert fresh_watchdog.evaluations == 2
+            evaluate_twice()
+        assert fresh_watchdog.evaluations == 3

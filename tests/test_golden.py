@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from ridecrypt.crypto import watchdog
 from ridecrypt.harness import (
     ExperimentConfig,
     dump_records,
@@ -86,3 +87,15 @@ def test_golden_runs_exercise_recovery():
     assert end_to_end()[-1]["sessions_rider_exact"] == 4
     assert merged_end_to_end()[-1]["sessions_rider_exact"] == 5
     assert strict_synthetic()[-1]["sessions_all_exact"] == 3
+
+
+def test_sessions_compute_the_prf_floor_only():
+    # Each session computes only the rider's 4*n*m*2^l distinct HMACs; the
+    # drivers' and the provider's inputs repeat them. Counted, not timed.
+    before = watchdog.evaluations
+    records = end_to_end()
+    computed = watchdog.evaluations - before
+    aggregate = records[-1]
+    floor = 4 * aggregate["n"] * aggregate["m"] * 2 ** aggregate["l"]
+    assert computed == aggregate["sessions"] * floor
+    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == GOLDEN[0][1]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ridecrypt.errors import CapacityError, LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import (
     EXPECTED_DRIVERS,
+    MAX_WORKERS,
     REPORT_KEYS,
     ExperimentConfig,
     blocks_needed,
@@ -150,6 +151,12 @@ class TestConfigValidation:
     def test_checked_when_built(self):
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig(mode="end_to_end", workers=0)
+
+    def test_workers_bounded_by_a_fixed_constant(self):
+        # Building a config starts no thread; only its bound is checked.
+        assert ExperimentConfig(mode="end_to_end", workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError, match=f"1..{MAX_WORKERS}"):
+            ExperimentConfig(mode="end_to_end", workers=MAX_WORKERS + 1)
 
     def test_frozen(self):
         config = ExperimentConfig(mode="end_to_end")
