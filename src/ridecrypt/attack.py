@@ -96,37 +96,47 @@ class DifferenceLedger:
         return coord * self.params.num_blocks + block_index
 
     def record(self, coord: int, block_index: int, driver_id: int, payload: int) -> None:
-        """File one matched payload. The payload must be an exact multiple
-        of the position weight and normalize to an in-range difference.
-        A driver's later payload for the same position replaces its row
-        entry; the position's interval and distinct set keep both
-        differences."""
-        pos = self._slot(coord, block_index)
-        weight = self._weights[block_index]
-        if payload % weight != 0:
-            raise LedgerFault(
-                f"payload {payload} at ({coord}, {block_index}) is not a "
-                f"multiple of weight {weight}"
-            )
-        d = payload // weight
-        if abs(d) >= self._base:
-            raise LedgerFault(
-                f"difference {d} at ({coord}, {block_index}) exceeds block range"
-            )
-        row = self._rows.get(driver_id)
-        if row is None:
-            row = self._rows[driver_id] = [_MISSING] * len(self._lo)
-        row[pos] = d
-        self._lo[pos] = max(self._lo[pos], -d)
-        self._hi[pos] = min(self._hi[pos], self._base - 1 - d)
-        self._distinct[pos].add(d)
+        """File one matched payload: :meth:`record_matches` of one entry."""
+        self.record_matches(driver_id, {(coord, block_index): payload})
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
     ) -> None:
-        """File a whole ``ServiceProvider.match_response`` output."""
+        """File a whole ``ServiceProvider.match_response`` output, in the
+        map's order. Each payload must be an exact multiple of its position
+        weight and normalize to an in-range difference; the first entry
+        that fails raises, after the entries before it were filed. A
+        driver's later payload for a position replaces its row entry; the
+        position's interval and distinct set keep both differences."""
+        dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
+        top = self._base - 1
+        lo, hi, distinct = self._lo, self._hi, self._distinct
+        row = self._rows.get(driver_id)
         for (coord, block_index), payload in matches.items():
-            self.record(coord, block_index, driver_id, payload)
+            if not 0 <= coord < dim:
+                raise ValueError(f"coordinate {coord} out of range")
+            if not 0 <= block_index < num_blocks:
+                raise ValueError(f"block index {block_index} out of range")
+            weight = weights[block_index]
+            d, rest = divmod(payload, weight)
+            if rest:
+                raise LedgerFault(
+                    f"payload {payload} at ({coord}, {block_index}) is not a "
+                    f"multiple of weight {weight}"
+                )
+            if not -top <= d <= top:
+                raise LedgerFault(
+                    f"difference {d} at ({coord}, {block_index}) exceeds block range"
+                )
+            if row is None:
+                row = self._rows[driver_id] = [_MISSING] * len(lo)
+            pos = coord * num_blocks + block_index
+            row[pos] = d
+            if lo[pos] < -d:
+                lo[pos] = -d
+            if hi[pos] > top - d:
+                hi[pos] = top - d
+            distinct[pos].add(d)
 
     def drivers(self) -> list[int]:
         return sorted(self._rows)
@@ -301,21 +311,44 @@ class IncrementalAttack:
         self.unique_at: dict[tuple[int, int], int | None] = {
             pos: None for pos in self.ledger.positions()
         }
-        self._open = list(self.unique_at)
+        self._positions = self.ledger.positions()
+        # Row indexes of the positions not yet unique, in position order.
+        self._open = list(range(len(self._positions)))
         self._index = (
             None if embedding_table is None else embedding_index(embedding_table)
         )
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
-        """File one driver's ``ServiceProvider.match_response`` output."""
-        self.ledger.record_matches(driver_id, matches)
+        """File one driver's ``ServiceProvider.match_response`` output and
+        re-check the open positions, in position order, by
+        :meth:`DifferenceLedger.is_unique`'s rule: strict mode counts the
+        distinct differences, the default compares the interval bounds and
+        faults on the first empty interval."""
+        ledger = self.ledger
+        ledger.record_matches(driver_id, matches)
         self.responses += 1
+        responses, unique_at, positions = self.responses, self.unique_at, self._positions
         still_open = []
-        for pos in self._open:
-            if self.ledger.is_unique(*pos, strict=self.strict):
-                self.unique_at[pos] = self.responses
-            else:
-                still_open.append(pos)
+        if self.strict:
+            distinct, base = ledger._distinct, ledger._base
+            for slot in self._open:
+                if len(distinct[slot]) == base:
+                    unique_at[positions[slot]] = responses
+                else:
+                    still_open.append(slot)
+        else:
+            lo, hi = ledger._lo, ledger._hi
+            for slot in self._open:
+                if lo[slot] < hi[slot]:
+                    still_open.append(slot)
+                elif lo[slot] == hi[slot]:
+                    unique_at[positions[slot]] = responses
+                else:
+                    raise LedgerFault(
+                        "no block value is consistent at ({}, {})".format(
+                            *positions[slot]
+                        )
+                    )
         self._open = still_open
 
     def report(self) -> RecoveryReport:

@@ -63,10 +63,9 @@ def decompose(value: int, params: BlockParams) -> tuple[int, ...]:
             f"value {value} does not fit {params.num_blocks} blocks of "
             f"{params.block_bits} bits"
         )
-    mask = params.base - 1
-    return tuple(
-        (value >> (j * params.block_bits)) & mask for j in range(params.num_blocks)
-    )
+    bits = params.block_bits
+    mask = (1 << bits) - 1
+    return tuple([(value >> (j * bits)) & mask for j in range(params.num_blocks)])
 
 
 def recompose(blocks: Sequence[int], params: BlockParams) -> int:

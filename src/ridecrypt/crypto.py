@@ -5,6 +5,7 @@ a long-term shared secret and a structured message; the outer function keys
 on an inner output and is applied to a per-block-group nonce. A global
 collision watchdog certifies that no two distinct inputs produced equal
 outputs during a run, which is the assumption the matching step leans on.
+An input is the (key, message) pair the HMAC computes, under either PRF.
 
 Within one matching session every driver's inner input and every outer
 input of the matching party is one the rider already evaluated. Inside a
@@ -43,10 +44,12 @@ class CollisionWatchdog:
     """Tracks PRF evaluations and aborts the run on an output collision.
 
     Each observed output is stored against an 8-byte fingerprint of its
-    input; a repeated output with a different fingerprint is a genuine
-    collision (fingerprints are deterministic). Tracking stops after
-    ``capacity`` distinct outputs so memory stays bounded; the evaluation
-    counter keeps running regardless.
+    HMAC input, the (key, message) pair; a repeated output with a different
+    fingerprint is a genuine collision (fingerprints are deterministic).
+    Both PRFs are the same HMAC, so one (key, message) pair under H and
+    under F is one input, not a collision; ``domain`` only names the PRF in
+    the fault. Tracking stops after ``capacity`` distinct outputs so memory
+    stays bounded; the evaluation counter keeps running regardless.
 
     ``evaluations`` counts the HMACs actually computed: inside a
     ``session_memo()`` scope an input is observed only the first time it
@@ -73,7 +76,6 @@ class CollisionWatchdog:
         if not self.enabled or len(self._seen) >= self.CAPACITY:
             return
         h = hashlib.blake2b(digest_size=8)
-        h.update(domain)
         h.update(len(key).to_bytes(4, "big"))
         h.update(key)
         h.update(message)
@@ -83,7 +85,7 @@ class CollisionWatchdog:
             self.collisions += 1
             raise PrfCollisionError(
                 f"distinct PRF inputs produced equal output {output.hex()} "
-                f"after {self.evaluations} evaluations"
+                f"under {domain.decode()} after {self.evaluations} evaluations"
             )
 
 
@@ -91,9 +93,9 @@ class CollisionWatchdog:
 watchdog = CollisionWatchdog()
 
 
-#: Outputs of the open session scope by (domain, key, message), or None
-#: outside one. A context variable, so every thread has its own scope.
-_memo: ContextVar[dict[tuple[bytes, bytes, bytes], bytes] | None] = ContextVar(
+#: Outputs of the open session scope by (key, message), the HMAC input, or
+#: None outside one. A context variable, so every thread has its own scope.
+_memo: ContextVar[dict[tuple[bytes, bytes], bytes] | None] = ContextVar(
     "prf_session_memo", default=None
 )
 
@@ -115,13 +117,13 @@ def session_memo() -> Iterator[None]:
 def _prf(domain: bytes, key: bytes, message: bytes) -> bytes:
     memo = _memo.get()
     if memo is not None:
-        output = memo.get((domain, key, message))
+        output = memo.get((key, message))
         if output is not None:
             return output
     output = hmac.new(key, message, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
     watchdog.observe(domain, key, message, output)
     if memo is not None:
-        memo[domain, key, message] = output
+        memo[key, message] = output
     return output
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .codec import (
@@ -87,6 +88,18 @@ class RiderBlockGroup:
 class RiderRequest:
     context: RideContext
     groups: tuple[RiderBlockGroup, ...]
+
+    @cached_property
+    def _match_index(self) -> _MatchIndex:
+        """The matching party's index of this request, built on first use
+        and dropped with the request. A repeated group label is a fault,
+        raised again on every use."""
+        groups = {(g.coord, g.block_index): g for g in self.groups}
+        if len(groups) != len(self.groups):
+            raise ProtocolFault("rider request repeats a (coord, block) group")
+        return _MatchIndex(
+            {label: (g, _token_table(g)) for label, g in groups.items()}, {}
+        )
 
 
 class DriverEntry(NamedTuple):
@@ -160,20 +173,53 @@ def driver_encrypt(
     (coordinate, block) position, entry order permuted."""
     _check_location(location, ctx)
     params = ctx.params
+    match_key, mask_key = keys.match_key, keys.mask_key
+    zone_id, time_slot = ctx.zone_id, ctx.time_slot
     entries = []
     for i, coordinate in enumerate(location):
         for j, block in enumerate(decompose(coordinate, params)):
-            message = encode_message(block, i, j, ctx.zone_id, ctx.time_slot)
+            message = encode_message(block, i, j, zone_id, time_slot)
             entries.append(
-                DriverEntry(
-                    coord=i,
-                    block_index=j,
-                    c1=prf_h(keys.match_key, message),
-                    c2=prf_h(keys.mask_key, message),
-                )
+                DriverEntry(i, j, prf_h(match_key, message), prf_h(mask_key, message))
             )
     rng.shuffle(entries)
     return DriverResponse(driver_id=driver_id, context=ctx, entries=tuple(entries))
+
+
+class _MatchIndex(NamedTuple):
+    """What the matching party keeps per request: each label's rider group
+    with its token table, and every payload unmasked so far by driver pair.
+    An honest pair is deterministic, so drivers sharing a block value at a
+    position send the same pair; the cache key is the whole pair, label,
+    ``c1`` and ``c2``, so a forged pair never gets another pair's payload."""
+
+    groups: dict[tuple[int, int], tuple[RiderBlockGroup, dict[bytes, tuple[bytes, ...]]]]
+    payloads: dict[DriverEntry, int]
+
+
+def _token_table(group: RiderBlockGroup) -> dict[bytes, tuple[bytes, ...]]:
+    """The group's masked payloads by equality token. A token that several
+    entries share maps to all of their payloads."""
+    table: dict[bytes, tuple[bytes, ...]] = {}
+    for c1, c2 in group.entries:
+        table[c1] = table.get(c1, ()) + (c2,)
+    return table
+
+
+def _unmask(
+    group: RiderBlockGroup, table: dict[bytes, tuple[bytes, ...]], entry: DriverEntry
+) -> int | None:
+    """:func:`sp_match_block` against the group's token table."""
+    hits = table.get(prf_f(entry.c1, group.nonce))
+    if hits is None:
+        return None
+    if len(hits) > 1:
+        raise PrfCollisionError(
+            f"{len(hits)} rider entries matched one driver ciphertext at "
+            f"position ({group.coord}, {group.block_index})"
+        )
+    pad = prf_f(entry.c2, group.nonce)[:PAYLOAD_BYTES]
+    return decode_signed(xor_bytes(hits[0], pad))
 
 
 def sp_match_block(group: RiderBlockGroup, entry: DriverEntry) -> int | None:
@@ -183,34 +229,29 @@ def sp_match_block(group: RiderBlockGroup, entry: DriverEntry) -> int | None:
     ``None`` if nothing matches (the pair belongs to another position), and
     raises :class:`PrfCollisionError` on more than one hit.
     """
-    token = prf_f(entry.c1, group.nonce)
-    hits = [e for e in group.entries if e.c1 == token]
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise PrfCollisionError(
-            f"{len(hits)} rider entries matched one driver ciphertext at "
-            f"position ({group.coord}, {group.block_index})"
-        )
-    pad = prf_f(entry.c2, group.nonce)[:PAYLOAD_BYTES]
-    return decode_signed(xor_bytes(hits[0].c2, pad))
+    return _unmask(group, _token_table(group), entry)
 
 
 def sp_compute_distance(
     diffs: Mapping[tuple[int, int], int], ctx: RideContext
 ) -> int:
     """Aggregate matched payloads into the embedding distance: sum the
-    signed payloads per coordinate, take the maximum magnitude."""
-    expected = {
-        (i, j) for i in range(ctx.dim) for j in range(ctx.params.num_blocks)
-    }
-    if set(diffs.keys()) != expected:
-        raise ValueError("difference map does not cover every (coord, block) position")
-    best = 0
-    for i in range(ctx.dim):
-        total = sum(diffs[(i, j)] for j in range(ctx.params.num_blocks))
-        best = max(best, abs(total))
-    return best
+    signed payloads per coordinate, take the maximum magnitude.
+
+    The map must hold exactly the ``dim * num_blocks`` positions: as its
+    keys are distinct, the right count and a hit for every in-range
+    position leave no room for a missing, extra or out-of-range one.
+    """
+    num_blocks = ctx.params.num_blocks
+    if len(diffs) == ctx.dim * num_blocks:
+        try:
+            return max(
+                abs(sum([diffs[i, j] for j in range(num_blocks)]))
+                for i in range(ctx.dim)
+            )
+        except KeyError:
+            pass
+    raise ValueError("difference map does not cover every (coord, block) position")
 
 
 class ServiceProvider:
@@ -230,27 +271,36 @@ class ServiceProvider:
         Returns the complete map (coordinate, block index) -> signed payload.
         A request or response from another session, and an unmatched or
         duplicated pair, are protocol faults.
+
+        The request is indexed on its first match, and each distinct driver
+        pair is unmasked once per request; a later equal pair, from any
+        driver, is one dictionary hit.
         """
         if request.context != self.context:
             raise ProtocolFault("request belongs to a different session")
         if response.context != self.context:
             raise ProtocolFault("response belongs to a different session")
-        groups = {(g.coord, g.block_index): g for g in request.groups}
-        if len(groups) != len(request.groups):
-            raise ProtocolFault("rider request repeats a (coord, block) group")
+        groups, payloads = request._match_index
         diffs: dict[tuple[int, int], int] = {}
         for entry in response.entries:
-            label = (entry.coord, entry.block_index)
-            group = groups.get(label)
-            if group is None:
-                raise ProtocolFault(f"driver ciphertext at {label} has no rider group")
+            label = entry[:2]
+            # A label reaches diffs only through its group, so testing for a
+            # duplicate before the group raises the same fault as after it.
             if label in diffs:
                 raise ProtocolFault(f"duplicate driver ciphertext at {label}")
-            payload = sp_match_block(group, entry)
+            payload = payloads.get(entry)
             if payload is None:
-                raise ProtocolFault(
-                    f"driver ciphertext at {label} matched no rider entry"
-                )
+                found = groups.get(label)
+                if found is None:
+                    raise ProtocolFault(
+                        f"driver ciphertext at {label} has no rider group"
+                    )
+                payload = _unmask(*found, entry)
+                if payload is None:
+                    raise ProtocolFault(
+                        f"driver ciphertext at {label} matched no rider entry"
+                    )
+                payloads[entry] = payload
             diffs[label] = payload
         if len(diffs) != self.context.total_blocks:
             raise ProtocolFault(

@@ -86,6 +86,79 @@ class TestLedgerRecord:
         assert ledger.drivers() == [2, 4]
 
 
+def _file(ledger, method, driver_id, matches):
+    """File ``matches`` and return the fault raised, as (type, message)."""
+    try:
+        if method == "matches":
+            ledger.record_matches(driver_id, matches)
+        else:
+            for (coord, block_index), payload in matches.items():
+                ledger.record(coord, block_index, driver_id, payload)
+    except (ValueError, LedgerFault) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def payload_maps(draw, params, dim):
+    """Payload maps mixing valid entries with a non-multiple of the weight,
+    an out-of-range difference and out-of-range coordinates or blocks."""
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-1, dim),
+                st.integers(-1, params.num_blocks),
+                st.integers(-params.base, params.base),
+                st.sampled_from([0, 0, 0, 1]),
+            ),
+            max_size=2 * dim * params.num_blocks,
+        )
+    )
+    matches = {}
+    for coord, block_index, d, rest in entries:
+        weight = params.base ** max(block_index, 0)
+        matches[(coord, block_index)] = d * weight + rest
+    return matches
+
+
+class TestRecordMatchesEqualsRecord:
+    @given(st.data())
+    def test_same_state_and_faults(self, data):
+        params = BlockParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        dim = data.draw(st.integers(1, 3))
+        batched = DifferenceLedger(params, dim)
+        single = DifferenceLedger(params, dim)
+        for _ in range(data.draw(st.integers(1, 4))):
+            driver_id = data.draw(st.integers(0, 2))
+            matches = data.draw(payload_maps(params, dim))
+            assert _file(batched, "matches", driver_id, matches) == _file(
+                single, "record", driver_id, matches
+            )
+            assert batched._lo == single._lo
+            assert batched._hi == single._hi
+            assert batched._distinct == single._distinct
+            assert batched._rows == single._rows
+
+    def test_each_fault_matches(self):
+        params = BlockParams(2, 2)
+        cases = [
+            ({(0, 0): 1, (0, 1): 6}, LedgerFault, "not a multiple of weight 4"),
+            ({(0, 0): 1, (0, 1): 16}, LedgerFault, "difference 4 at (0, 1) exceeds"),
+            ({(0, 0): 1, (2, 0): 0}, ValueError, "coordinate 2 out of range"),
+            ({(0, 0): 1, (0, 2): 0}, ValueError, "block index 2 out of range"),
+        ]
+        for matches, kind, message in cases:
+            ledgers = [DifferenceLedger(params, 2) for _ in range(2)]
+            faults = [
+                _file(ledger, method, 5, matches)
+                for ledger, method in zip(ledgers, ("matches", "record"))
+            ]
+            assert faults[0] == faults[1]
+            assert faults[0][0] is kind and message in faults[0][1]
+            # The entry before the fault was filed by both.
+            assert ledgers[0]._rows == ledgers[1]._rows == {5: [1] + [-(2**15)] * 3}
+
+
 class TestRecoverBlock:
     def test_full_negative_run_pins_the_top_value(self):
         assert recover_block([-3, -2, -1, 0], 2) == (3, 3)
@@ -391,6 +464,20 @@ class TestIncrementalAttack:
                 assert report.blocks_recovered == sum(
                     at is not None for at in expected[0].values()
                 )
+
+    def test_empty_interval_faults_at_its_position(self):
+        params = BlockParams(2, 1)
+        attack = IncrementalAttack(params, 2)
+        attack.feed(0, {(0, 0): 2, (1, 0): 0})
+        with pytest.raises(LedgerFault, match=re.escape("consistent at (0, 0)")):
+            attack.feed(1, {(0, 0): -2, (1, 0): 0})
+        # Strict mode never reads the interval; it counts distinct values.
+        strict = IncrementalAttack(params, 2, strict=True)
+        for driver_id, d in enumerate((2, -2, 1)):
+            strict.feed(driver_id, {(0, 0): d, (1, 0): 0})
+        assert strict.unique_at == {(0, 0): None, (1, 0): None}
+        strict.feed(3, {(0, 0): 0, (1, 0): 0})
+        assert strict.unique_at == {(0, 0): 4, (1, 0): None}
 
     def test_rider_missing_from_the_table_faults(self):
         params = BlockParams(2, 2)

@@ -186,12 +186,14 @@ class TestCollisionWatchdog:
         assert local.evaluations == 5
         assert local.tracked == 1
 
-    def test_domain_separates_the_two_prfs(self):
-        # The same (key, message) under H and F is a distinct input.
-        local = CollisionWatchdog()
-        local.observe(b"H", b"key", b"msg", b"o" * 16)
-        with pytest.raises(PrfCollisionError):
-            local.observe(b"F", b"key", b"msg", b"o" * 16)
+    def test_h_and_f_on_one_input_are_one_hmac(self, fresh_watchdog):
+        # Both PRFs are plain HMAC-SHA256, so the same (key, message) under
+        # H and F is one input with one output, not a collision.
+        key = b"k" * KEY_BYTES
+        assert prf_h(key, b"msg") == prf_f(key, b"msg")
+        assert fresh_watchdog.evaluations == 2
+        assert fresh_watchdog.tracked == 1
+        assert fresh_watchdog.collisions == 0
 
     def test_global_watchdog_sees_library_evaluations(self):
         before = watchdog.evaluations

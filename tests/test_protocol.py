@@ -12,13 +12,16 @@ from ridecrypt.crypto import (
     prf_h,
     xor_bytes,
 )
+from ridecrypt import protocol
 from ridecrypt.errors import CapacityError, PrfCollisionError, ProtocolFault
+from ridecrypt.harness import _session_matches
 from ridecrypt.protocol import (
     DriverEntry,
     DriverResponse,
     RideContext,
     RiderBlockGroup,
     RiderEntry,
+    RiderRequest,
     ServiceProvider,
     driver_encrypt,
     rider_encrypt,
@@ -232,6 +235,121 @@ class TestMatchAll:
             match_all(request, forged)
 
 
+class TestMatchIndex:
+    """The provider's per-request index, through ``match_response``."""
+
+    def _honest(self, ctx, rider=(6, 9), driver=(9, 6)):
+        request = rider_encrypt(rider, KEYS, ctx, random.Random(1))
+        response = driver_encrypt(0, driver, KEYS, ctx, random.Random(2))
+        return request, response
+
+    def test_duplicated_token_is_a_collision_fault(self):
+        ctx = make_ctx(block_bits=1, num_blocks=1, dim=1)
+        request, response = self._honest(ctx, rider=(1,), driver=(1,))
+        group = request.groups[0]
+        entry = response.entries[0]
+        token = prf_f(entry.c1, group.nonce)
+        hit = next(e for e in group.entries if e.c1 == token)
+        forged = RiderRequest(
+            ctx, (RiderBlockGroup(group.coord, group.block_index, group.nonce, (hit, hit)),)
+        )
+        for _ in range(2):  # a collision is never cached
+            with pytest.raises(PrfCollisionError, match="2 rider entries"):
+                match_all(forged, response)
+
+    def test_unmatched_ciphertext_is_a_fault(self):
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        match_all(request, response)
+        bad = response.entries[0]._replace(c1=bytes(16))
+        forged = DriverResponse(0, ctx, (bad,) + response.entries[1:])
+        with pytest.raises(ProtocolFault, match="matched no rider entry"):
+            match_all(request, forged)
+
+    def test_duplicate_driver_label_is_a_fault(self):
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        match_all(request, response)  # the repeated pair is now cached
+        forged = DriverResponse(0, ctx, response.entries + response.entries[:1])
+        with pytest.raises(ProtocolFault, match="duplicate driver ciphertext"):
+            match_all(request, forged)
+
+    def test_repeated_rider_group_is_a_fault(self):
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        forged = RiderRequest(ctx, request.groups + request.groups[:1])
+        for _ in range(2):  # a request that failed to index fails again
+            with pytest.raises(ProtocolFault, match="repeats a"):
+                match_all(forged, response)
+
+    def test_mixed_pair_gets_its_own_payload(self):
+        # Two drivers with blocks 1 and 3 at (0, 0) fill the cache; a pair
+        # with the c1 of one and the c2 of the other is unmasked afresh.
+        ctx = make_ctx(block_bits=2, num_blocks=1, dim=1)
+        request = rider_encrypt((2,), KEYS, ctx, random.Random(1))
+        one = driver_encrypt(0, (1,), KEYS, ctx, random.Random(2))
+        three = driver_encrypt(1, (3,), KEYS, ctx, random.Random(3))
+        assert match_all(request, one) == {(0, 0): -1}
+        assert match_all(request, three) == {(0, 0): 1}
+        mixed = one.entries[0]._replace(c2=three.entries[0].c2)
+        payload = match_all(request, DriverResponse(2, ctx, (mixed,)))[(0, 0)]
+        assert payload == sp_match_block(request.groups[0], mixed)
+        assert payload not in (-1, 1)
+
+    def test_one_response_against_two_requests(self):
+        ctx = make_ctx(block_bits=2, num_blocks=2, dim=2)
+        near = rider_encrypt((5, 10), KEYS, ctx, random.Random(1))
+        far = rider_encrypt((12, 3), KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, (6, 9), KEYS, ctx, random.Random(3))
+        for _ in range(2):
+            assert sp_compute_distance(match_all(near, response), ctx) == 1
+            assert sp_compute_distance(match_all(far, response), ctx) == 6
+        for request in (near, far):
+            groups = {(g.coord, g.block_index): g for g in request.groups}
+            assert match_all(request, response) == {
+                e[:2]: sp_match_block(groups[e[:2]], e) for e in response.entries
+            }
+
+    def test_provider_unmasks_each_distinct_pair_once(self, monkeypatch):
+        # n=3, m=2, l=2 and D=34 drivers: at most 3 * 2 * 4 = 24 distinct
+        # pairs, two outer PRFs each, where a pair per driver would be 204.
+        calls = []
+        pairs = set()
+        tables = []
+        real_prf_f = protocol.prf_f
+        real_table = protocol._token_table
+        real_match = ServiceProvider.match_response
+
+        def counting_prf_f(key, nonce):
+            calls.append(key)
+            return real_prf_f(key, nonce)
+
+        def counting_match(self, request, response):
+            pairs.update(response.entries)
+            monkeypatch.setattr(protocol, "prf_f", counting_prf_f)
+            try:
+                return real_match(self, request, response)
+            finally:
+                monkeypatch.setattr(protocol, "prf_f", real_prf_f)
+
+        monkeypatch.setattr(ServiceProvider, "match_response", counting_match)
+        monkeypatch.setattr(
+            protocol, "_token_table", lambda group: tables.append(group) or real_table(group)
+        )
+        params = BlockParams(2, 2)
+        rng = random.Random(3)
+        rider, *drivers = (
+            tuple(rng.randrange(params.capacity) for _ in range(3)) for _ in range(35)
+        )
+        matched = _session_matches(
+            RideContext(4, 8, params, 3), KEYS, rider, drivers, 3, ("session", 0)
+        )
+        assert len(matched) == 34
+        assert len(pairs) <= 3 * 2 * 2**2
+        assert len(calls) == 2 * len(pairs)
+        assert len(tables) == 3 * 2  # the request is indexed once
+
+
 class TestDistanceAndSelection:
     def test_all_zero_diffs(self):
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=3)
@@ -246,6 +364,22 @@ class TestDistanceAndSelection:
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=2)
         with pytest.raises(ValueError):
             sp_compute_distance({(0, 0): 0}, ctx)
+
+    @pytest.mark.parametrize(
+        "drop, add",
+        [((1, 1), None), (None, (2, 0)), ((1, 1), (1, 2))],
+        ids=["missing", "extra", "out_of_range"],
+    )
+    def test_bad_coverage_rejected(self, drop, add):
+        # out_of_range keeps the count right and swaps in an outside position.
+        ctx = make_ctx(block_bits=2, num_blocks=2, dim=2)
+        diffs = {(i, j): 0 for i in range(2) for j in range(2)}
+        if drop is not None:
+            del diffs[drop]
+        if add is not None:
+            diffs[add] = 0
+        with pytest.raises(ValueError, match="does not cover"):
+            sp_compute_distance(diffs, ctx)
 
     def test_matches_plaintext_distance(self):
         rng = random.Random(13)
