@@ -146,27 +146,40 @@ class DifferenceLedger:
         never answered holds the sentinel ``-2**15``. Read only."""
         return [self._rows[driver_id] for driver_id in driver_ids]
 
-    def interval(self, coord: int, block_index: int) -> tuple[int, int]:
-        """Current candidate interval; the full range if nothing was seen."""
-        pos = self._slot(coord, block_index)
-        lo, hi = self._lo[pos], self._hi[pos]
+    def _interval_at(self, slot: int) -> tuple[int, int]:
+        """Candidate interval at a row index; raises :class:`LedgerFault`
+        when no block value is consistent there."""
+        lo, hi = self._lo[slot], self._hi[slot]
         if lo > hi:
             raise LedgerFault(
-                f"no block value is consistent at ({coord}, {block_index})"
+                "no block value is consistent at ({}, {})".format(
+                    *divmod(slot, self.params.num_blocks)
+                )
             )
         return lo, hi
 
-    def is_unique(self, coord: int, block_index: int, strict: bool = False) -> bool:
-        """Whether this position's rider block is pinned down.
+    def slot_is_unique(self, slot: int, strict: bool = False) -> bool:
+        """Whether the rider block at a row index is pinned down: the one
+        uniqueness rule.
 
         Strict mode requires differences to all ``2**bits`` values, the
-        criterion under which the expected-responder counts are computed;
-        the default accepts any interval that closed to a point.
+        criterion under which the expected-responder counts are computed,
+        and never reads the interval; the default accepts any interval
+        that closed to a point.
         """
         if strict:
-            return len(self._distinct[self._slot(coord, block_index)]) == self._base
-        lo, hi = self.interval(coord, block_index)
+            return len(self._distinct[slot]) == self._base
+        lo, hi = self._interval_at(slot)
         return lo == hi
+
+    def interval(self, coord: int, block_index: int) -> tuple[int, int]:
+        """Current candidate interval; the full range if nothing was seen."""
+        return self._interval_at(self._slot(coord, block_index))
+
+    def is_unique(self, coord: int, block_index: int, strict: bool = False) -> bool:
+        """Whether this position's rider block is pinned down, by
+        :meth:`slot_is_unique`."""
+        return self.slot_is_unique(self._slot(coord, block_index), strict)
 
 
 def recover_rider_vector(
@@ -321,34 +334,17 @@ class IncrementalAttack:
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output and
         re-check the open positions, in position order, by
-        :meth:`DifferenceLedger.is_unique`'s rule: strict mode counts the
-        distinct differences, the default compares the interval bounds and
-        faults on the first empty interval."""
-        ledger = self.ledger
-        ledger.record_matches(driver_id, matches)
+        :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
+        first empty interval faults."""
+        self.ledger.record_matches(driver_id, matches)
         self.responses += 1
-        responses, unique_at, positions = self.responses, self.unique_at, self._positions
+        unique, strict = self.ledger.slot_is_unique, self.strict
         still_open = []
-        if self.strict:
-            distinct, base = ledger._distinct, ledger._base
-            for slot in self._open:
-                if len(distinct[slot]) == base:
-                    unique_at[positions[slot]] = responses
-                else:
-                    still_open.append(slot)
-        else:
-            lo, hi = ledger._lo, ledger._hi
-            for slot in self._open:
-                if lo[slot] < hi[slot]:
-                    still_open.append(slot)
-                elif lo[slot] == hi[slot]:
-                    unique_at[positions[slot]] = responses
-                else:
-                    raise LedgerFault(
-                        "no block value is consistent at ({}, {})".format(
-                            *positions[slot]
-                        )
-                    )
+        for slot in self._open:
+            if unique(slot, strict):
+                self.unique_at[self._positions[slot]] = self.responses
+            else:
+                still_open.append(slot)
         self._open = still_open
 
     def report(self) -> RecoveryReport:

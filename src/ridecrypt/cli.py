@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .crypto import MAX_DIM
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .harness import (
     MAX_WORKERS,
@@ -22,8 +23,11 @@ from .harness import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's flags. They declare no defaults: a flag left out leaves
+    its ``ExperimentConfig`` field at the config's own default."""
     parser = argparse.ArgumentParser(
         prog="ridecrypt",
+        argument_default=argparse.SUPPRESS,
         description=(
             "Simulate the block-masked ride-matching protocol, measure how "
             "many responders pin down a rider block, and run the full "
@@ -36,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="block_bits",
         metavar="L",
         type=int,
-        default=None,
         help="bits per block (1..4); table1 runs all four widths when omitted",
     )
     parser.add_argument(
@@ -44,35 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
         dest="num_blocks",
         metavar="M",
         type=int,
-        default=None,
         help="blocks per coordinate (default: sized to the network diameter)",
     )
     parser.add_argument(
-        "--n", dest="dim", metavar="N", type=int, default=8, help="embedding dimension, <= 65536"
+        "--n", dest="dim", metavar="N", type=int, help=f"embedding dimension, <= {MAX_DIM}"
     )
     parser.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="trials (table1) or sessions (session modes)",
+        "--trials", type=int, help="trials (table1) or sessions (session modes)"
     )
     parser.add_argument(
         "--drivers",
         dest="num_drivers",
         metavar="DRIVERS",
         type=int,
-        default=None,
         help="responding drivers per session",
     )
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--out",
-        default=None,
         help="report path (default: $RIDECRYPT_REPORT_DIR/<mode>_report.jsonl)",
     )
     parser.add_argument(
         "--network-file",
-        default=None,
         help="road-network file to use instead of a generated grid",
     )
     parser.add_argument(
@@ -80,14 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="end_to_end: recover a block only once all 2^l differences appeared",
     )
-    parser.add_argument("--rows", type=int, default=6, help="grid rows")
-    parser.add_argument("--cols", type=int, default=6, help="grid columns")
+    parser.add_argument("--rows", type=int, help="grid rows")
+    parser.add_argument("--cols", type=int, help="grid columns")
     parser.add_argument(
         "--weights",
         dest="weight_range",
         type=int,
         nargs=2,
-        default=(1, 9),
         metavar=("LO", "HI"),
         help="inclusive edge-weight range for generated grids",
     )
@@ -99,11 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help=(
-            f"worker threads, 1..{MAX_WORKERS} (same output); "
-            "--merge-requests runs serially"
-        ),
+        help=f"table1 worker threads, 1..{MAX_WORKERS} (same output)",
     )
     return parser
 
@@ -136,8 +127,9 @@ def _summarize(records: list[dict]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
-    out = options.pop("out")
-    options["weight_range"] = tuple(options["weight_range"])
+    out = options.pop("out", None)
+    if "weight_range" in options:
+        options["weight_range"] = tuple(options["weight_range"])
     try:
         config = ExperimentConfig(**options)
     except ValueError as exc:

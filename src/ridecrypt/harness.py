@@ -3,9 +3,11 @@ deterministic seeding, and report records.
 
 Every run is reproducible from (config, seed). Randomness is derived
 per purpose through a keyed hash of the master seed, so a session's
-outcome does not depend on how many sessions ran before it or on how
-work is split across workers; serial and parallel execution emit
-byte-identical reports.
+outcome does not depend on how many sessions ran before it, and a table1
+estimate does not depend on how its trial chunks are split across
+workers. Sessions run serially, in index order; ``workers`` sizes only
+the table1 chunk pool, where numpy releases the GIL. Reports are
+byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ class ExperimentConfig:
     seed: int = 1
     strict_lemma: bool = False
     merge_requests: bool = False
-    workers: int = 1
+    workers: int = 1  # table1 chunk threads; sessions always run serially
 
     def __post_init__(self) -> None:
         self.validate()
@@ -241,6 +243,9 @@ class ExperimentConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if self.mode != "end_to_end" and (self.strict_lemma or self.merge_requests):
             raise ValueError("strict_lemma and merge_requests need mode end_to_end")
+        session_only = (self.num_drivers, self.num_blocks, self.network_file)
+        if self.mode == "table1" and any(v is not None for v in session_only):
+            raise ValueError("num_drivers, num_blocks and network_file need a session mode")
 
     @property
     def resolved_block_bits(self) -> int:
@@ -486,11 +491,7 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         )
         return record
 
-    if config.workers > 1 and not config.merge_requests:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(session_record, range(sessions)))
-    else:
-        records = [session_record(s) for s in range(sessions)]
+    records = [session_record(s) for s in range(sessions)]
 
     aggregate = {
         "record": "aggregate",

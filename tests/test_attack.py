@@ -450,6 +450,9 @@ class TestIncrementalAttack:
         for upto in range(len(feed) + 1):
             if upto:
                 attack.feed(*feed[upto - 1])
+            # feed and is_unique apply the same rule to every position.
+            for pos, at in attack.unique_at.items():
+                assert (at is not None) == attack.ledger.is_unique(*pos, strict=strict)
             expected = reference_attack(params, dim, feed[:upto], strict)
             for report in (
                 attack.report(),

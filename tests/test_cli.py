@@ -73,6 +73,8 @@ class TestUsageErrors:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         dests = {action.dest for action in build_parser()._actions}
         assert dests - {"help", "out"} <= fields
+        # Defaults live in ExperimentConfig alone: an omitted flag sets nothing.
+        assert vars(build_parser().parse_args(["--mode", "table1"])) == {"mode": "table1"}
 
 
 class TestTable1Mode:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ridecrypt import harness
 from ridecrypt.errors import CapacityError, LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import (
     EXPECTED_DRIVERS,
@@ -142,11 +143,14 @@ class TestConfigValidation:
             {"trials": 0},
             {"workers": 0},
             {"dim": 65537},
+            {"mode": "table1", "num_drivers": 3},
+            {"mode": "table1", "num_blocks": 2},
+            {"mode": "table1", "network_file": "city.txt"},
         ],
     )
     def test_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            ExperimentConfig(mode="end_to_end", **kwargs).validate()
+            ExperimentConfig(**{"mode": "end_to_end", **kwargs}).validate()
 
     def test_checked_when_built(self):
         with pytest.raises(ValueError, match="workers"):
@@ -213,12 +217,17 @@ class TestSessionRuns:
         second = dump_records(run_experiment(config))
         assert first == second
 
-    def test_workers_do_not_change_records(self):
+    def test_workers_do_not_change_records(self, monkeypatch):
         base = small_config(mode="end_to_end", num_drivers=8, trials=4)
         parallel = small_config(mode="end_to_end", num_drivers=8, trials=4, workers=3)
-        assert dump_records(run_experiment(base)) == dump_records(
-            run_experiment(parallel)
-        )
+        serial_records = dump_records(run_experiment(base))
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a session mode started a thread pool")
+
+        # Sessions run serially whatever the worker count.
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_thread)
+        assert serial_records == dump_records(run_experiment(parallel))
 
     def test_recovery_monotone_in_driver_count(self):
         """With coupled per-driver seeds, adding responders can only narrow
