@@ -48,7 +48,7 @@ print(f"request: {len(request.groups)} block groups, {entries} ciphertexts\n")
 
 driver_nodes = {0: 3, 1: 18, 2: 24, 3: 12}
 responses = {
-    k: driver_encrypt(k, table[node], keys, ctx, Random(SEED + k))
+    k: driver_encrypt(k, table[node], keys, ctx)
     for k, node in driver_nodes.items()
 }
 

@@ -43,7 +43,7 @@ request = rider_encrypt(table[rider_node], keys, ctx, rng)
 sp = ServiceProvider(ctx)
 matched = []
 for k, node in enumerate(driver_nodes):
-    response = driver_encrypt(k, table[node], keys, ctx, rng)
+    response = driver_encrypt(k, table[node], keys, ctx)
     matched.append((k, sp.match_response(request, response)))
 
 print(f"{NUM_DRIVERS} drivers responded; the matching party now holds "

@@ -66,6 +66,12 @@ MAX_WORKERS = 64
 #: Zone id of every synthetic session's ride context.
 SYNTHETIC_ZONE = 7
 
+#: Grid options a session mode takes when unset; table1 leaves them None.
+GRID_DEFAULTS = {"dim": 8, "rows": 6, "cols": 6, "weight_range": (1, 9)}
+
+#: Config fields only the session modes read; table1 rejects them.
+SESSION_ONLY = ("num_drivers", "num_blocks", "network_file", *GRID_DEFAULTS)
+
 #: Report keys of the fields that reports name by the paper's symbols;
 #: every other field keeps its own name.
 REPORT_KEYS = {"block_bits": "l", "num_blocks": "m", "dim": "n"}
@@ -205,10 +211,11 @@ class ExperimentConfig:
     mode: str
     block_bits: int | None = None  # None: table1 runs all widths, sessions use 2
     num_blocks: int | None = None  # None: sized to the network diameter
-    dim: int = 8
-    rows: int = 6
-    cols: int = 6
-    weight_range: tuple[int, int] = (1, 9)
+    # The grid options: None takes GRID_DEFAULTS in the session modes.
+    dim: int | None = None
+    rows: int | None = None
+    cols: int | None = None
+    weight_range: tuple[int, int] | None = None
     network_file: str | None = None
     num_drivers: int | None = None
     trials: int | None = None
@@ -218,6 +225,10 @@ class ExperimentConfig:
     workers: int = 1  # table1 chunk threads; sessions always run serially
 
     def __post_init__(self) -> None:
+        if self.mode != "table1":
+            for name, default in GRID_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
         self.validate()
 
     def validate(self) -> None:
@@ -227,14 +238,6 @@ class ExperimentConfig:
             raise ValueError("supported block widths are 1..4")
         if self.num_blocks is not None:
             BlockParams(self.resolved_block_bits, self.num_blocks)
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in 1..{MAX_DIM}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
-        if self.weight_range[0] > self.weight_range[1]:
-            raise ValueError("empty weight range")
-        if self.weight_range[0] < 0:
-            raise ValueError("edge weights must be non-negative")
         if self.num_drivers is not None and self.num_drivers < 1:
             raise ValueError("num_drivers must be >= 1")
         if self.trials is not None and self.trials < 1:
@@ -243,9 +246,19 @@ class ExperimentConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if self.mode != "end_to_end" and (self.strict_lemma or self.merge_requests):
             raise ValueError("strict_lemma and merge_requests need mode end_to_end")
-        session_only = (self.num_drivers, self.num_blocks, self.network_file)
-        if self.mode == "table1" and any(v is not None for v in session_only):
-            raise ValueError("num_drivers, num_blocks and network_file need a session mode")
+        if self.mode == "table1":
+            given = [name for name in SESSION_ONLY if getattr(self, name) is not None]
+            if given:
+                raise ValueError(f"table1 does not take {', '.join(given)}")
+            return
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be in 1..{MAX_DIM}")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("grid must have at least one row and one column")
+        if self.weight_range[0] > self.weight_range[1]:
+            raise ValueError("empty weight range")
+        if self.weight_range[0] < 0:
+            raise ValueError("edge weights must be non-negative")
 
     @property
     def resolved_block_bits(self) -> int:
@@ -328,7 +341,7 @@ def _session_matches(
 
     Returns the ``(driver_id, matches)`` pairs: the provider's transcript,
     which is all the attack gets. ``path`` names the session within the
-    run's seeds, e.g. ``("session", s)``.
+    run's seeds, e.g. ``("session", s)``; only the rider draws from them.
 
     Every PRF input a driver or the provider evaluates, the rider evaluated
     already, so the round runs in one ``session_memo`` scope and computes
@@ -339,12 +352,10 @@ def _session_matches(
         request = rider_encrypt(
             rider_vector, keys, ctx, Random(derive_seed(seed, *path, "rider-rng"))
         )
-        matched = []
-        for k, vector in enumerate(driver_vectors):
-            rng = Random(derive_seed(seed, *path, "driver-rng", k))
-            response = driver_encrypt(k, vector, keys, ctx, rng)
-            matched.append((k, sp.match_response(request, response)))
-    return matched
+        return [
+            (k, sp.match_response(request, driver_encrypt(k, vector, keys, ctx)))
+            for k, vector in enumerate(driver_vectors)
+        ]
 
 
 def _recovery_fields(

@@ -134,10 +134,11 @@ def rider_encrypt(
 ) -> RiderRequest:
     """Build the rider's request for ``location``.
 
-    Per (coordinate, block) position: a fresh nonce and one entry per
-    possible block value, in rng-permuted order. Group order is permuted
-    too. Raises :class:`CapacityError` if a coordinate does not fit the
-    block parameters.
+    Per (coordinate, block) position, in that order: a fresh nonce and one
+    entry per possible block value, in rng-permuted order. Only that order
+    is permuted: it hides the block value, while a group's label is clear.
+    Raises :class:`CapacityError` if a coordinate does not fit the block
+    parameters.
     """
     _check_location(location, ctx)
     params = ctx.params
@@ -158,7 +159,6 @@ def rider_encrypt(
             groups.append(
                 RiderBlockGroup(coord=i, block_index=j, nonce=nonce, entries=tuple(entries))
             )
-    rng.shuffle(groups)
     return RiderRequest(context=ctx, groups=tuple(groups))
 
 
@@ -167,10 +167,10 @@ def driver_encrypt(
     location: Sequence[int],
     keys: SystemKeys,
     ctx: RideContext,
-    rng: random.Random,
 ) -> DriverResponse:
     """Build a driver's response: a single ciphertext pair per
-    (coordinate, block) position, entry order permuted."""
+    (coordinate, block) position, in that order. Entries name their
+    position in the clear, so the response needs no randomness."""
     _check_location(location, ctx)
     params = ctx.params
     match_key, mask_key = keys.match_key, keys.mask_key
@@ -182,7 +182,6 @@ def driver_encrypt(
             entries.append(
                 DriverEntry(i, j, prf_h(match_key, message), prf_h(mask_key, message))
             )
-    rng.shuffle(entries)
     return DriverResponse(driver_id=driver_id, context=ctx, entries=tuple(entries))
 
 

@@ -231,7 +231,7 @@ def test_criterion_5_match_iff_equal_block():
             request = rider_encrypt((rider_block,), keys, ctx, rng)
             group = request.groups[0]
             for driver_block in range(1 << bits):
-                response = driver_encrypt(0, (driver_block,), keys, ctx, rng)
+                response = driver_encrypt(0, (driver_block,), keys, ctx)
                 entry = response.entries[0]
                 hits = []
                 for candidate_entry in group.entries:

@@ -27,7 +27,9 @@ from ridecrypt.harness import (
     run_table1,
     simulate_coverage_draws,
 )
-from ridecrypt.protocol import ServiceProvider
+from ridecrypt.codec import BlockParams
+from ridecrypt.crypto import issue_system_keys
+from ridecrypt.protocol import RideContext, ServiceProvider
 from ridecrypt.roadnet import generate_grid_network, save_network
 
 
@@ -146,6 +148,10 @@ class TestConfigValidation:
             {"mode": "table1", "num_drivers": 3},
             {"mode": "table1", "num_blocks": 2},
             {"mode": "table1", "network_file": "city.txt"},
+            {"mode": "table1", "dim": 8},
+            {"mode": "table1", "rows": 6},
+            {"mode": "table1", "cols": 6},
+            {"mode": "table1", "weight_range": (1, 9)},
         ],
     )
     def test_bad_values(self, kwargs):
@@ -172,6 +178,8 @@ class TestConfigValidation:
         assert config.resolved_trials == 25
         assert config.resolved_drivers == math.ceil(4 * 25 / 3)
         assert ExperimentConfig(mode="table1").resolved_trials == 100_000
+        assert ExperimentConfig(mode="protocol_only").weight_range == (1, 9)
+        assert ExperimentConfig(mode="table1").weight_range is None
 
 
 def small_config(**overrides):
@@ -228,6 +236,27 @@ class TestSessionRuns:
         # Sessions run serially whatever the worker count.
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_thread)
         assert serial_records == dump_records(run_experiment(parallel))
+
+    def test_one_seed_per_session_whatever_the_driver_count(self, monkeypatch):
+        # Only the rider draws randomness, so the seeds a round derives do
+        # not grow with its drivers.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(harness, "derive_seed", counting)
+        ctx = RideContext(1, 0, BlockParams(2, 2), 2)
+        keys = issue_system_keys(5)
+        counts = []
+        for drivers in (1, 6):
+            calls.clear()
+            harness._session_matches(
+                ctx, keys, (3, 9), [(k, 15 - k) for k in range(drivers)], 1, ("s", 0)
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 1
 
     def test_recovery_monotone_in_driver_count(self):
         """With coupled per-driver seeds, adding responders can only narrow

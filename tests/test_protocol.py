@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -88,6 +89,23 @@ class TestRiderEncrypt:
                 expected = decompose(coordinate, ctx.params)
                 assert tuple(blocks[(i, j)] for j in range(4)) == expected
 
+    def test_groups_in_label_order_and_pinned(self):
+        # Only the order within a group is random. The digest was taken,
+        # label-sorted, when groups were shuffled as well: that shuffle was
+        # the rng's last draw, so deleting it moved no nonce.
+        ctx = make_ctx(block_bits=2, num_blocks=3, dim=4)
+        request = rider_encrypt((5, 0, 63, 17), KEYS, ctx, random.Random(1))
+        labels = [(g.coord, g.block_index) for g in request.groups]
+        assert labels == [(i, j) for i in range(4) for j in range(3)]
+        digest = hashlib.sha256()
+        for group in request.groups:
+            digest.update(bytes([group.coord, group.block_index]) + group.nonce)
+            for c1, c2 in group.entries:
+                digest.update(c1 + c2)
+        assert digest.hexdigest() == (
+            "87385677b0aab7cd82985afa22e25ea1f45b04ebf3276ecf9819a6d30d9fedf5"
+        )
+
     def test_fresh_nonce_per_group(self):
         ctx = make_ctx(block_bits=2, num_blocks=3, dim=4)
         request = rider_encrypt((1, 2, 3, 4), KEYS, ctx, random.Random(5))
@@ -107,28 +125,28 @@ class TestRiderEncrypt:
 class TestDriverEncrypt:
     def test_direct_formula(self):
         ctx = make_ctx(block_bits=1, num_blocks=1, dim=1, zone=9, slot=4)
-        response = driver_encrypt(0, (1,), KEYS, ctx, random.Random(1))
+        response = driver_encrypt(0, (1,), KEYS, ctx)
         entry = response.entries[0]
         assert entry.c1 == prf_h(KEYS.match_key, encode_message(1, 0, 0, 9, 4))
         assert entry.c2 == prf_h(KEYS.mask_key, encode_message(1, 0, 0, 9, 4))
 
     def test_one_entry_per_position(self):
         ctx = make_ctx(block_bits=2, num_blocks=3, dim=4)
-        response = driver_encrypt(5, (1, 2, 3, 4), KEYS, ctx, random.Random(1))
+        response = driver_encrypt(5, (1, 2, 3, 4), KEYS, ctx)
         assert len(response.entries) == 12
         assert {(e.coord, e.block_index) for e in response.entries} == {
             (i, j) for i in range(4) for j in range(3)
         }
 
-    def test_deterministic_modulo_permutation(self):
-        ctx = make_ctx()
-        a = driver_encrypt(1, (7, 9), KEYS, ctx, random.Random(1))
-        b = driver_encrypt(1, (7, 9), KEYS, ctx, random.Random(99))
-        assert sorted(a.entries) == sorted(b.entries)
+    def test_deterministic_in_label_order(self):
+        ctx = make_ctx(block_bits=2, num_blocks=3, dim=2)
+        a = driver_encrypt(1, (7, 9), KEYS, ctx)
+        assert a == driver_encrypt(1, (7, 9), KEYS, ctx)
+        assert [e[:2] for e in a.entries] == [(i, j) for i in range(2) for j in range(3)]
 
     def test_capacity_violation(self):
         with pytest.raises(CapacityError):
-            driver_encrypt(0, (99, 0), KEYS, make_ctx(), random.Random(1))
+            driver_encrypt(0, (99, 0), KEYS, make_ctx())
 
 
 class TestMatchBlock:
@@ -138,7 +156,7 @@ class TestMatchBlock:
         rider_coord = rider_block * params.weight(j)
         driver_coord = driver_block * params.weight(j)
         request = rider_encrypt((rider_coord,), KEYS, ctx, random.Random(4))
-        response = driver_encrypt(0, (driver_coord,), KEYS, ctx, random.Random(5))
+        response = driver_encrypt(0, (driver_coord,), KEYS, ctx)
         group = next(g for g in request.groups if g.block_index == j)
         entry = next(e for e in response.entries if e.block_index == j)
         return group, entry
@@ -157,7 +175,7 @@ class TestMatchBlock:
         location_r = random_vector(rng, ctx)
         location_d = random_vector(rng, ctx)
         request = rider_encrypt(location_r, KEYS, ctx, rng)
-        response = driver_encrypt(0, location_d, KEYS, ctx, rng)
+        response = driver_encrypt(0, location_d, KEYS, ctx)
         for group in request.groups:
             for entry in response.entries:
                 result = sp_match_block(group, entry)
@@ -170,7 +188,7 @@ class TestMatchBlock:
     def test_duplicate_match_is_a_collision_fault(self):
         ctx = make_ctx(block_bits=1, num_blocks=1, dim=1)
         request = rider_encrypt((1,), KEYS, ctx, random.Random(1))
-        response = driver_encrypt(0, (1,), KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, (1,), KEYS, ctx)
         group = request.groups[0]
         entry = response.entries[0]
         token = prf_f(entry.c1, group.nonce)
@@ -185,7 +203,7 @@ class TestMatchAll:
         ctx = make_ctx(block_bits=2, num_blocks=3, dim=3)
         location = (17, 2, 60)
         request = rider_encrypt(location, KEYS, ctx, random.Random(1))
-        response = driver_encrypt(0, location, KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, location, KEYS, ctx)
         diffs = match_all(request, response)
         assert set(diffs.values()) == {0}
 
@@ -193,7 +211,7 @@ class TestMatchAll:
         # Rider coordinate 6 decomposes to blocks (2, 1); driver 9 to (1, 2).
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=1)
         request = rider_encrypt((6,), KEYS, ctx, random.Random(1))
-        response = driver_encrypt(0, (9,), KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, (9,), KEYS, ctx)
         diffs = match_all(request, response)
         assert diffs == {(0, 0): -1, (0, 1): 4}
 
@@ -204,7 +222,7 @@ class TestMatchAll:
             rider_loc = random_vector(rng, ctx)
             driver_loc = random_vector(rng, ctx)
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
-            response = driver_encrypt(0, driver_loc, KEYS, ctx, rng)
+            response = driver_encrypt(0, driver_loc, KEYS, ctx)
             diffs = match_all(request, response)
             for i in range(ctx.dim):
                 total = sum(diffs[(i, j)] for j in range(ctx.params.num_blocks))
@@ -212,14 +230,14 @@ class TestMatchAll:
 
     def test_session_mismatch(self):
         request = rider_encrypt((1, 2), KEYS, make_ctx(zone=1), random.Random(1))
-        response = driver_encrypt(0, (1, 2), KEYS, make_ctx(zone=2), random.Random(2))
+        response = driver_encrypt(0, (1, 2), KEYS, make_ctx(zone=2))
         with pytest.raises(ProtocolFault):
             match_all(request, response)
 
     def test_unknown_label_is_a_fault(self):
         ctx = make_ctx()
         request = rider_encrypt((1, 2), KEYS, ctx, random.Random(1))
-        honest = driver_encrypt(0, (1, 2), KEYS, ctx, random.Random(2))
+        honest = driver_encrypt(0, (1, 2), KEYS, ctx)
         bad_entry = honest.entries[0]._replace(coord=7)
         forged = DriverResponse(0, ctx, honest.entries[1:] + (bad_entry,))
         with pytest.raises(ProtocolFault):
@@ -229,7 +247,7 @@ class TestMatchAll:
         ctx_a = make_ctx(slot=1)
         ctx_b = make_ctx(slot=2)
         request = rider_encrypt((1, 2), KEYS, ctx_a, random.Random(1))
-        stale = driver_encrypt(0, (1, 2), KEYS, ctx_b, random.Random(2))
+        stale = driver_encrypt(0, (1, 2), KEYS, ctx_b)
         forged = DriverResponse(0, ctx_a, stale.entries)
         with pytest.raises(ProtocolFault):
             match_all(request, forged)
@@ -240,7 +258,7 @@ class TestMatchIndex:
 
     def _honest(self, ctx, rider=(6, 9), driver=(9, 6)):
         request = rider_encrypt(rider, KEYS, ctx, random.Random(1))
-        response = driver_encrypt(0, driver, KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, driver, KEYS, ctx)
         return request, response
 
     def test_duplicated_token_is_a_collision_fault(self):
@@ -287,8 +305,8 @@ class TestMatchIndex:
         # with the c1 of one and the c2 of the other is unmasked afresh.
         ctx = make_ctx(block_bits=2, num_blocks=1, dim=1)
         request = rider_encrypt((2,), KEYS, ctx, random.Random(1))
-        one = driver_encrypt(0, (1,), KEYS, ctx, random.Random(2))
-        three = driver_encrypt(1, (3,), KEYS, ctx, random.Random(3))
+        one = driver_encrypt(0, (1,), KEYS, ctx)
+        three = driver_encrypt(1, (3,), KEYS, ctx)
         assert match_all(request, one) == {(0, 0): -1}
         assert match_all(request, three) == {(0, 0): 1}
         mixed = one.entries[0]._replace(c2=three.entries[0].c2)
@@ -300,7 +318,7 @@ class TestMatchIndex:
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=2)
         near = rider_encrypt((5, 10), KEYS, ctx, random.Random(1))
         far = rider_encrypt((12, 3), KEYS, ctx, random.Random(2))
-        response = driver_encrypt(0, (6, 9), KEYS, ctx, random.Random(3))
+        response = driver_encrypt(0, (6, 9), KEYS, ctx)
         for _ in range(2):
             assert sp_compute_distance(match_all(near, response), ctx) == 1
             assert sp_compute_distance(match_all(far, response), ctx) == 6
@@ -388,28 +406,28 @@ class TestDistanceAndSelection:
             rider_loc = random_vector(rng, ctx)
             driver_loc = random_vector(rng, ctx)
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
-            response = driver_encrypt(0, driver_loc, KEYS, ctx, rng)
+            response = driver_encrypt(0, driver_loc, KEYS, ctx)
             encrypted = sp_compute_distance(match_all(request, response), ctx)
             assert encrypted == rne_distance(rider_loc, driver_loc)
 
     def test_single_responder_selected(self):
         ctx = make_ctx()
         request = rider_encrypt((5, 6), KEYS, ctx, random.Random(1))
-        response = driver_encrypt(3, (1, 2), KEYS, ctx, random.Random(2))
+        response = driver_encrypt(3, (1, 2), KEYS, ctx)
         assert select_driver(request, [response]) == 3
 
     def test_closest_of_two_wins(self):
         ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
         request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
-        near = driver_encrypt(7, (8,), KEYS, ctx, random.Random(2))  # distance 3
-        far = driver_encrypt(2, (12,), KEYS, ctx, random.Random(3))  # distance 7
+        near = driver_encrypt(7, (8,), KEYS, ctx)  # distance 3
+        far = driver_encrypt(2, (12,), KEYS, ctx)  # distance 7
         assert select_driver(request, [far, near]) == 7
 
     def test_tie_break_lowest_id(self):
         ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
         request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
-        a = driver_encrypt(9, (8,), KEYS, ctx, random.Random(2))
-        b = driver_encrypt(4, (2,), KEYS, ctx, random.Random(3))  # also distance 3
+        a = driver_encrypt(9, (8,), KEYS, ctx)
+        b = driver_encrypt(4, (2,), KEYS, ctx)  # also distance 3
         assert select_driver(request, [a, b]) == 4
 
     def test_no_responses(self):
@@ -425,7 +443,7 @@ class TestDistanceAndSelection:
             drivers = {k: random_vector(rng, ctx) for k in range(5)}
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
             responses = [
-                driver_encrypt(k, loc, KEYS, ctx, rng) for k, loc in drivers.items()
+                driver_encrypt(k, loc, KEYS, ctx) for k, loc in drivers.items()
             ]
             assert select_driver(request, responses) == best_driver(
                 rider_loc, drivers
@@ -455,7 +473,7 @@ class TestMatchingPartyVisibility:
 
     def test_driver_response_field_surface(self):
         ctx = make_ctx()
-        response = driver_encrypt(0, (3, 8), KEYS, ctx, random.Random(1))
+        response = driver_encrypt(0, (3, 8), KEYS, ctx)
         assert {f.name for f in dataclasses.fields(response)} == {
             "driver_id",
             "context",
@@ -476,7 +494,7 @@ class TestMatchingPartyVisibility:
         sp = ServiceProvider(ctx)
         request = rider_encrypt((5, 10), KEYS, ctx, random.Random(1))
         responses = [
-            driver_encrypt(k, (5 + k, 10), KEYS, ctx, random.Random(k + 2))
+            driver_encrypt(k, (5 + k, 10), KEYS, ctx)
             for k in range(3)
         ]
         assert sp_compute_distance(sp.match_response(request, responses[0]), ctx) == 0
@@ -491,7 +509,7 @@ class TestMatchingPartyVisibility:
         ctx = make_ctx(block_bits=2, num_blocks=2, dim=2, zone=11, slot=5)
         location = (9, 14)  # blocks (1, 2) and (2, 3)
         request = rider_encrypt(location, KEYS, ctx, random.Random(1))
-        response = driver_encrypt(0, location, KEYS, ctx, random.Random(2))
+        response = driver_encrypt(0, location, KEYS, ctx)
 
         allowed = {
             ctx.zone_id,

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` rebinds functions and methods by name and
 ``perfbench/worker.py`` builds its runs from harness keywords, so a rename
 here would crash ``perfbench/run.py --trace 1``. Demos 01 and 02 exercise
-the public API end to end; demo 03 takes several seconds and is left out.
+the public API end to end and must print no failure marker; demo 03 takes
+several seconds and is left out.
 The README's quick start runs as written and prints what its comment says.
 """
 
@@ -61,6 +62,10 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # Demo 01 marks a distance that differs from plaintext, demo 02 a node
+    # it located wrongly.
+    assert "MISMATCH" not in result.stdout
+    assert "WRONG" not in result.stdout
 
 
 def test_readme_quick_start_prints_its_promise():
