@@ -16,16 +16,16 @@ distinct differences; together they answer "is the rider block pinned?"
 in O(1). Per driver it keeps one row of ``dim * num_blocks`` differences,
 where position ``(coord, block)`` sits at index ``coord * num_blocks +
 block`` and a position the driver never answered holds the int16 minimum,
-outside every difference range (at most ``2**8 - 1`` in magnitude).
-Stacking the rows gives a drivers x positions integer matrix, so all
-driver vectors come back in one vectorised pass. Feeding a response costs
-O(positions) and recovery O(drivers * positions), so an attack is linear
-in what it is fed.
+outside every difference range (at most ``2**8 - 1`` in magnitude), and
+each driver vector comes back from its row in one pass. Feeding a response
+costs O(positions) and recovery O(drivers * positions), so an attack is
+linear in what it is fed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .codec import BlockParams, decompose, recompose
@@ -48,18 +48,25 @@ def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
     (then the point is ``-min(diffs)``), and more generally whenever the
     difference spread reaches ``2**bits - 1``.
     """
-    diffs = list(diffs)
+    if not isinstance(diffs, (list, tuple)):
+        diffs = list(diffs)
     if not diffs:
         raise ValueError("need at least one difference")
+    smallest = largest = diffs[0]
+    for d in diffs:  # one pass for both ends
+        if d < smallest:
+            smallest = d
+        elif d > largest:
+            largest = d
     top = (1 << block_bits) - 1
-    smallest = min(diffs)
-    largest = max(diffs)
     if smallest < -top or largest > top:
         raise ValueError(f"difference out of range for {block_bits}-bit blocks")
-    lo = max(0, -smallest)
-    hi = min(top, top - largest)
+    lo = -smallest if smallest < 0 else 0
+    hi = top - largest if largest > 0 else top
     if lo > hi:
-        raise LedgerFault(f"no block value is consistent with differences {diffs}")
+        raise LedgerFault(
+            f"no block value is consistent with differences {list(diffs)}"
+        )
     return lo, hi
 
 
@@ -208,52 +215,45 @@ def recover_rider_vector(
 
 
 def recover_driver_vectors(
-    ledger: DifferenceLedger, rider_vector: Sequence[int]
+    ledger: DifferenceLedger,
+    rider_vector: Sequence[int],
+    driver_ids: Sequence[int] | None = None,
 ) -> dict[int, RneVector]:
-    """Given the recovered rider vector, rebuild every responding driver's
-    vector by adding its recorded differences back onto the rider blocks.
+    """Given the recovered rider vector, rebuild each responding driver's
+    vector by adding its recorded differences back onto the rider blocks:
+    the given drivers, or all of them.
 
-    All drivers are handled in one pass over the stacked ledger rows. A
-    driver that misses a position, or whose block leaves the block range,
+    Drivers are handled in id order, each in one pass over its ledger row.
+    A driver that misses a position, or whose block leaves the block range,
     raises :class:`LedgerFault`; of several, the lowest driver id is
     reported, and within it the first position.
     """
-    # numpy is imported here rather than at the top: loading it ahead of
-    # the package's other modules raised the peak RSS of a 60-session grid
-    # run by about 0.3 MB, and only this function needs it.
-    import numpy as np
-
     if len(rider_vector) != ledger.dim:
         raise ValueError("rider vector dimension does not match ledger")
     params = ledger.params
-    ids = ledger.drivers()
-    diffs = np.array(ledger.driver_rows(ids), dtype=np.int64).reshape(
-        len(ids), ledger.dim * params.num_blocks
-    )
-    rider_blocks = np.array(
-        [block for coordinate in rider_vector for block in decompose(coordinate, params)],
-        dtype=np.int64,
-    )
-    blocks = diffs + rider_blocks
-    incomplete = (diffs == _MISSING).any(axis=1)
-    out_of_range = (blocks < 0) | (blocks >= params.base)
-    faulty = incomplete | out_of_range.any(axis=1)
-    if faulty.any():
-        row = int(faulty.argmax())
-        driver_id = ids[row]
-        if incomplete[row]:
+    num_blocks, top = params.num_blocks, params.base - 1
+    rider_blocks = [
+        block for coordinate in rider_vector for block in decompose(coordinate, params)
+    ]
+    weights = [params.weight(j) for j in range(num_blocks)] * ledger.dim
+    starts = range(0, len(weights), num_blocks)
+    ids = ledger.drivers() if driver_ids is None else sorted(driver_ids)
+    vectors: dict[int, RneVector] = {}
+    for driver_id, row in zip(ids, ledger.driver_rows(ids)):
+        if _MISSING in row:
             raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
-        pos = int(out_of_range[row].argmax())
-        i, j = divmod(pos, params.num_blocks)
-        raise LedgerFault(
-            f"driver {driver_id} block {int(blocks[row, pos])} at ({i}, {j}) "
-            f"is out of range"
+        blocks = list(map(add, row, rider_blocks))
+        if min(blocks) < 0 or max(blocks) > top:
+            pos, block = next((p, b) for p, b in enumerate(blocks) if not 0 <= b <= top)
+            i, j = divmod(pos, num_blocks)
+            raise LedgerFault(
+                f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
+            )
+        scaled = list(map(mul, blocks, weights))
+        vectors[driver_id] = tuple(
+            [sum(scaled[start : start + num_blocks]) for start in starts]
         )
-    shifts = np.arange(params.num_blocks, dtype=np.int64) * params.block_bits
-    coords = (blocks.reshape(len(ids), ledger.dim, params.num_blocks) << shifts).sum(
-        axis=2
-    )
-    return {driver_id: tuple(row) for driver_id, row in zip(ids, coords.tolist())}
+    return vectors
 
 
 def embedding_index(table: Sequence[RneVector]) -> dict[RneVector, tuple[int, int]]:
@@ -309,6 +309,10 @@ class IncrementalAttack:
     still open. With ``embedding_table``, a report that recovers the rider
     also names the rider's and every driver's node through
     :func:`deanonymize`.
+
+    A recovered rider vector never changes: a pinned interval can only
+    fault, never move. So each report recovers only the drivers fed since
+    the last one, and keeps the vectors recovered before.
     """
 
     def __init__(
@@ -330,12 +334,14 @@ class IncrementalAttack:
         self._index = (
             None if embedding_table is None else embedding_index(embedding_table)
         )
+        self._driver_vectors: dict[int, RneVector] = {}
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output and
         re-check the open positions, in position order, by
         :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
         first empty interval faults."""
+        self._driver_vectors.pop(driver_id, None)
         self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         unique, strict = self.ledger.slot_is_unique, self.strict
@@ -358,7 +364,15 @@ class IncrementalAttack:
             rider_vector=rider_vector,
         )
         if rider_vector is not None:
-            report.driver_vectors = recover_driver_vectors(self.ledger, rider_vector)
+            known = self._driver_vectors
+            known.update(
+                recover_driver_vectors(
+                    self.ledger,
+                    rider_vector,
+                    [k for k in self.ledger.drivers() if k not in known],
+                )
+            )
+            report.driver_vectors = dict(sorted(known.items()))
             if self._index is not None:
                 report.rider_node, report.rider_ambiguity = deanonymize(
                     rider_vector, self._index

@@ -13,7 +13,10 @@ input of the matching party is one the rider already evaluated. Inside a
 shown to the watchdog, once; repeats are answered from the scope's memo,
 which is discarded when the scope exits. The watchdog already treats a
 repeated identical input as a no-op, so it certifies the same distinct
-inputs as without the memo.
+inputs as without the memo. The scope also holds codebooks of whole
+protocol values built from PRF outputs: a driver's ciphertext pair for one
+(coordinate, block, value) is filed in ``session_codebook((keys, ctx))``
+and looked up on a repeat, with no message encoded and no memo consulted.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Hashable, Iterator
 
 from .errors import PrfCollisionError
 
@@ -100,18 +103,40 @@ _memo: ContextVar[dict[tuple[bytes, bytes], bytes] | None] = ContextVar(
 )
 
 
+#: Codebooks of the open session scope by owner key, or None outside one.
+_codebooks: ContextVar[dict[Hashable, dict] | None] = ContextVar(
+    "prf_session_codebooks", default=None
+)
+
+
 @contextmanager
 def session_memo() -> Iterator[None]:
     """Scope in which each distinct PRF input is computed and observed once.
 
-    The memo holds long-term-key outputs, so it lives only for the scope
-    and is discarded on exit, also when the body raises.
+    The memo and the codebooks hold long-term-key outputs, so they live
+    only for the scope and are discarded on exit, also when the body raises.
     """
     token = _memo.set({})
+    books = _codebooks.set({})
     try:
         yield
     finally:
+        _codebooks.reset(books)
         _memo.reset(token)
+
+
+def session_codebook(key: Hashable) -> dict:
+    """The open scope's codebook for ``key``, created empty on first use;
+    outside a scope, a new empty one that nothing else sees. ``key`` names
+    everything the filed values depend on, so callers that differ in any
+    of it never share an entry."""
+    books = _codebooks.get()
+    if books is None:
+        return {}
+    book = books.get(key)
+    if book is None:
+        book = books[key] = {}
+    return book
 
 
 def _prf(domain: bytes, key: bytes, message: bytes) -> bytes:

@@ -20,9 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .attack import IncrementalAttack, RecoveryReport, run_attack
 from .codec import BlockParams, decompose
@@ -48,6 +46,9 @@ from .roadnet import (
     load_network,
     rne_distance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -116,6 +117,9 @@ def _coverage_chunk(block_bits: int, count: int, seed: int) -> np.ndarray:
     appeared, and a trial finishes at the first column where its mask is
     full. Unfinished trials carry their mask into the next slab.
     """
+    # numpy is imported where table1 uses it, and nowhere on a session path.
+    import numpy as np
+
     k = 1 << block_bits
     full = (1 << k) - 1
     slab = 4 * k + 16
@@ -144,6 +148,8 @@ def simulate_coverage_draws(
     (seed, block width, chunk index); chunk boundaries, not worker count,
     determine the random streams.
     """
+    import numpy as np
+
     if not 1 <= block_bits <= 5:
         # Coverage masks are int64 bitsets with one bit per block value.
         raise ValueError(f"block_bits must be in 1..5, got {block_bits}")
@@ -185,6 +191,8 @@ def run_table1(
 ) -> Table1Row:
     """Estimate the mean responder count needed for full per-block coverage
     and put it next to the analytic value and its ceiling."""
+    import numpy as np
+
     if block_bits not in EXPECTED_DRIVERS:
         raise ValueError(f"supported block widths are 1..4, got {block_bits}")
     counts = simulate_coverage_draws(block_bits, trials, seed, workers)
@@ -345,7 +353,9 @@ def _session_matches(
 
     Every PRF input a driver or the provider evaluates, the rider evaluated
     already, so the round runs in one ``session_memo`` scope and computes
-    4*n*m*2^l HMACs whatever the number of drivers.
+    4*n*m*2^l HMACs whatever the number of drivers. The scope's driver
+    codebook builds each distinct driver pair once; every other driver
+    position is one lookup.
     """
     sp = ServiceProvider(ctx)
     with session_memo():
@@ -406,8 +416,9 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         raise ValueError(f"run_sessions does not handle mode {config.mode!r}")
     net = _build_network(config)
     dim = net.dim
-    params = _session_params(config, net)
+    # The embedding first: its landmark sweeps also bound the diameter.
     table = net.embedding_table()
+    params = _session_params(config, net)
     keys = issue_system_keys(derive_seed(config.seed, "keys"))
     zone = derive_seed(config.seed, "zone") % 2**32
     sessions = config.resolved_trials

@@ -35,6 +35,7 @@ from .crypto import (
     generate_nonce,
     prf_f,
     prf_h,
+    session_codebook,
     xor_bytes,
 )
 from .errors import ProtocolFault, PrfCollisionError
@@ -170,18 +171,26 @@ def driver_encrypt(
 ) -> DriverResponse:
     """Build a driver's response: a single ciphertext pair per
     (coordinate, block) position, in that order. Entries name their
-    position in the clear, so the response needs no randomness."""
+    position in the clear, so the response needs no randomness.
+
+    A pair depends only on the keys, the context and (coordinate, block,
+    value), so each one is built once per ``session_memo`` scope and then
+    taken from the scope's codebook for ``(keys, ctx)``."""
     _check_location(location, ctx)
     params = ctx.params
     match_key, mask_key = keys.match_key, keys.mask_key
     zone_id, time_slot = ctx.zone_id, ctx.time_slot
+    book = session_codebook((keys, ctx))
     entries = []
     for i, coordinate in enumerate(location):
         for j, block in enumerate(decompose(coordinate, params)):
-            message = encode_message(block, i, j, zone_id, time_slot)
-            entries.append(
-                DriverEntry(i, j, prf_h(match_key, message), prf_h(mask_key, message))
-            )
+            entry = book.get((i, j, block))
+            if entry is None:
+                message = encode_message(block, i, j, zone_id, time_slot)
+                entry = book[i, j, block] = DriverEntry(
+                    i, j, prf_h(match_key, message), prf_h(mask_key, message)
+                )
+            entries.append(entry)
     return DriverResponse(driver_id=driver_id, context=ctx, entries=tuple(entries))
 
 

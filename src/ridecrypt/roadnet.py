@@ -12,7 +12,9 @@ the triangle inequality bounds every other node w's eccentricity between
 ``max(d(v, w), e - d(v, w))`` and ``e + d(v, w)``. Nodes whose upper bound
 cannot beat the largest eccentricity seen so far are dropped, so a grid
 usually needs a few dozen sweeps instead of one per node, and never more
-than one per node.
+than one per node. Once the embedding is built, the column of each
+singleton landmark subset is such a sweep from that landmark, and the
+bounding starts from those before it runs any of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 RneVector = tuple[int, ...]
 
@@ -140,14 +142,24 @@ class RoadNetwork:
         """Largest shortest-path distance over all node pairs, computed once
         by bounding sweeps (see the module docstring) and cached."""
         if self._diameter is None:
-            self._diameter = self._bounding_diameter()
+            self._diameter = self._bounding_diameter(self._embedding_sweeps())
         return self._diameter
 
-    def _bounding_diameter(self) -> int:
+    def _embedding_sweeps(self) -> Iterator[list[int]]:
+        """The single-source sweeps the embedding already ran, none before
+        it is built: the column of each singleton subset. A multi-node
+        subset's column is a distance to the nearest member, not a sweep."""
+        if self._embedding is not None:
+            for i, subset in enumerate(self.landmark_subsets):
+                if len(subset) == 1:
+                    yield [row[i] for row in self._embedding]
+
+    def _bounding_diameter(self, sweeps: Iterator[list[int]]) -> int:
         # Eccentricity bounding (Takes & Kosters, CIKM 2011). The diameter
         # is the largest eccentricity, so a node whose upper bound is at most
         # the largest eccentricity seen so far cannot raise it and is closed.
-        # Every sweep closes its own source, so there are at most N sweeps.
+        # Every sweep closes its own source, so after the given sweeps there
+        # are at most N more.
         lower = [0] * self.num_nodes
         upper = [math.inf] * self.num_nodes
         open_nodes = list(range(self.num_nodes))
@@ -155,14 +167,17 @@ class RoadNetwork:
         smallest_ecc = math.inf
         pick_upper = True
         while open_nodes:
-            # Alternate between the most promising and the most central open
-            # node; ties go to the lowest id, so the sweeps are deterministic.
-            if pick_upper:
-                v = max(open_nodes, key=lambda w: (upper[w], -w))
-            else:
-                v = min(open_nodes, key=lambda w: (lower[w], w))
-            pick_upper = not pick_upper
-            dist = self.distances_from([v])
+            dist = next(sweeps, None)
+            if dist is None:
+                # Alternate between the most promising and the most central
+                # open node; ties go to the lowest id, so the sweeps are
+                # deterministic.
+                if pick_upper:
+                    v = max(open_nodes, key=lambda w: (upper[w], -w))
+                else:
+                    v = min(open_nodes, key=lambda w: (lower[w], w))
+                pick_upper = not pick_upper
+                dist = self.distances_from([v])
             ecc = max(dist)
             best = max(best, ecc)
             smallest_ecc = min(smallest_ecc, ecc)

@@ -180,6 +180,19 @@ class TestRecoverBlock:
         with pytest.raises(ValueError):
             recover_block([4], 2)
 
+    def test_range_error_outranks_an_empty_interval(self):
+        # [-3, 3] alone leaves no block value; the 4 after it is out of range.
+        with pytest.raises(ValueError, match="out of range"):
+            recover_block([-3, 3, 4], 2)
+
+    @pytest.mark.parametrize("kind", [list, tuple, iter])
+    def test_any_iterable_gives_the_same_answer_and_fault(self, kind):
+        assert recover_block(kind([-1, 2]), 2) == (1, 1)
+        with pytest.raises(LedgerFault, match=re.escape("differences [-3, 3]")):
+            recover_block(kind([-3, 3]), 2)
+        with pytest.raises(ValueError, match="at least one"):
+            recover_block(kind([]), 2)
+
     @given(st.data())
     def test_equals_feasibility_scan(self, data):
         bits = data.draw(st.integers(1, 4))
@@ -280,7 +293,9 @@ class TestRecoverDriverVectors:
         params = BlockParams(2, 2)
         ledger = DifferenceLedger(params, 2)
         ledger.record_matches(4, honest_matches(params, 2, (7, 12), (7, 12)))
-        assert recover_driver_vectors(ledger, (7, 12)) == {4: (7, 12)}
+        ledger.record_matches(6, honest_matches(params, 2, (7, 12), (7, 12)))
+        assert recover_driver_vectors(ledger, (7, 12)) == {4: (7, 12), 6: (7, 12)}
+        assert recover_driver_vectors(ledger, (7, 12), [6]) == {6: (7, 12)}
 
     def test_difference_shifts_block(self):
         params = BlockParams(2, 1)
@@ -312,8 +327,18 @@ class TestRecoverDriverVectors:
         ledger.record(0, 0, driver_id=3, payload=0)
         with pytest.raises(LedgerFault, match="driver 3 has an incomplete"):
             recover_driver_vectors(ledger, (1, 1))
+        # Given drivers only, still in id order.
+        with pytest.raises(LedgerFault, match=r"driver 5 block -1 at \(0, 0\)"):
+            recover_driver_vectors(ledger, (1, 1), [9, 5])
         ledger.record(1, 0, driver_id=3, payload=0)
         with pytest.raises(LedgerFault, match=r"driver 5 block -1 at \(0, 0\)"):
+            recover_driver_vectors(ledger, (1, 1))
+
+    def test_incomplete_row_outranks_an_out_of_range_block(self):
+        params = BlockParams(2, 1)
+        ledger = DifferenceLedger(params, 2)
+        ledger.record(0, 0, driver_id=4, payload=3)  # 1 + 3 leaves the range
+        with pytest.raises(LedgerFault, match="driver 4 has an incomplete"):
             recover_driver_vectors(ledger, (1, 1))
 
     def test_full_width_differences(self):

@@ -20,6 +20,7 @@ from ridecrypt.crypto import (
     issue_system_keys,
     prf_f,
     prf_h,
+    session_codebook,
     session_memo,
     watchdog,
     xor_bytes,
@@ -296,3 +297,18 @@ class TestSessionMemo:
             assert fresh_watchdog.evaluations == 2
             evaluate_twice()
         assert fresh_watchdog.evaluations == 3
+
+    def test_codebooks_live_for_the_scope_only(self):
+        session_codebook("owner")["pair"] = 1
+        assert session_codebook("owner") == {}  # outside: a new one each time
+        with pytest.raises(RuntimeError):
+            with session_memo():
+                book = session_codebook("owner")
+                book["pair"] = 1
+                assert session_codebook("owner") is book
+                assert session_codebook("other") == {}
+                with session_memo():
+                    assert session_codebook("owner") == {}
+                assert session_codebook("owner") is book
+                raise RuntimeError("session failed")
+        assert session_codebook("owner") == {}

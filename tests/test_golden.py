@@ -9,6 +9,9 @@ hash is updated.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,3 +102,26 @@ def test_sessions_compute_the_prf_floor_only():
     floor = 4 * aggregate["n"] * aggregate["m"] * 2 ** aggregate["l"]
     assert computed == aggregate["sessions"] * floor
     assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == GOLDEN[0][1]
+
+
+def test_session_runs_do_not_import_numpy():
+    # numpy serves table1 only. A fresh interpreter, since the suite itself
+    # imports numpy: the strict synthetic run recovers every driver, and the
+    # merged run recovers the rider and names the nodes.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    script = (
+        "import sys, test_golden\n"
+        "assert test_golden.strict_synthetic()[-1]['sessions_all_exact'] == 3\n"
+        "assert test_golden.merged_end_to_end()[-1]['sessions_rider_exact'] == 5\n"
+        "print([name for name in sys.modules if name.split('.')[0] == 'numpy'])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -11,6 +11,8 @@ from ridecrypt.crypto import (
     issue_system_keys,
     prf_f,
     prf_h,
+    session_codebook,
+    session_memo,
     xor_bytes,
 )
 from ridecrypt import protocol
@@ -147,6 +149,64 @@ class TestDriverEncrypt:
     def test_capacity_violation(self):
         with pytest.raises(CapacityError):
             driver_encrypt(0, (99, 0), KEYS, make_ctx())
+
+
+class TestDriverCodebook:
+    """Inside a ``session_memo`` scope, driver pairs come from the scope's
+    codebook for (keys, context)."""
+
+    def count_prf_h(self, monkeypatch):
+        calls = []
+
+        def counted(key, message):
+            calls.append(message)
+            return prf_h(key, message)
+
+        monkeypatch.setattr(protocol, "prf_h", counted)
+        return calls
+
+    def test_response_equal_inside_and_outside_a_scope(self, monkeypatch):
+        ctx = make_ctx(block_bits=2, num_blocks=3, dim=2)
+        outside = driver_encrypt(1, (7, 9), KEYS, ctx)
+        calls = self.count_prf_h(monkeypatch)
+        with session_memo():
+            first = driver_encrypt(1, (7, 9), KEYS, ctx)
+            assert len(calls) == 2 * 6
+            # 7 -> 23 changes block (0, 2) only, 9 -> 5 block (1, 1) only.
+            again = driver_encrypt(2, (7 + 16, 9 - 4), KEYS, ctx)
+            assert len(calls) == 2 * (6 + 2)
+        assert first == outside
+        assert again == driver_encrypt(2, (7 + 16, 9 - 4), KEYS, ctx)
+
+    def test_each_key_set_and_context_gets_its_own_pairs(self):
+        other_keys = issue_system_keys(2025)
+        ctx, other_ctx = make_ctx(slot=5), make_ctx(slot=6)
+        runs = [(KEYS, ctx), (other_keys, ctx), (KEYS, other_ctx)]
+        outside = [driver_encrypt(0, (3, 12), k, c).entries for k, c in runs]
+        assert len(set(outside)) == 3
+        with session_memo():
+            inside = [driver_encrypt(0, (3, 12), k, c).entries for k, c in runs]
+            assert all(len(session_codebook(run)) == 4 for run in runs)
+        assert inside == outside
+
+    def test_nothing_survives_the_scope(self, monkeypatch):
+        ctx = make_ctx()
+        with session_memo():
+            driver_encrypt(0, (3, 12), KEYS, ctx)
+            assert session_codebook((KEYS, ctx))
+        assert session_codebook((KEYS, ctx)) == {}
+        calls = self.count_prf_h(monkeypatch)
+        with session_memo():
+            assert session_codebook((KEYS, ctx)) == {}
+            driver_encrypt(0, (3, 12), KEYS, ctx)
+        assert len(calls) == 2 * 4
+
+    def test_capacity_violation_inside_a_scope(self):
+        ctx = make_ctx()
+        with session_memo():
+            driver_encrypt(0, (15, 0), KEYS, ctx)
+            with pytest.raises(CapacityError):
+                driver_encrypt(0, (99, 0), KEYS, ctx)
 
 
 class TestMatchBlock:

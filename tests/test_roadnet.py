@@ -146,10 +146,25 @@ class TestDiameter:
         net = generate_grid_network(9, 9, (0, 9), seed=seed)
         assert net.diameter() == max(max(row) for row in floyd_warshall(net))
 
-    @pytest.mark.parametrize("s", range(1, 6))
-    def test_city_grid_needs_few_sweeps(self, s, monkeypatch):
-        # Counts Dijkstra runs, not time: all-pairs would make 1,024.
-        net = generate_grid_network(32, 32, (1, 9), seed=derive_seed(s, "network"))
+    @given(connected_networks(), st.data())
+    def test_embedding_sweeps_keep_it_exact(self, net, data):
+        node = st.integers(0, net.num_nodes - 1)
+        subsets = data.draw(
+            st.lists(st.lists(node, min_size=1, max_size=3), min_size=1, max_size=4)
+        )
+        net = RoadNetwork(net.num_nodes, net.edges, subsets)
+        net.embedding_table()
+        assert net.diameter() == max(max(row) for row in floyd_warshall(net))
+
+    def test_multi_node_subset_is_no_sweep(self):
+        # Read as a sweep from node 0, the column [0, 1, 2, 1, 0] of {0, 4}
+        # would close nodes 0 and 4 at eccentricity 2 and end at 3.
+        net = RoadNetwork(5, [(u, u + 1, 1) for u in range(4)], [[0, 4]])
+        net.embedding_table()
+        assert net.diameter() == 4
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
         calls = []
         sweep = RoadNetwork.distances_from
 
@@ -158,11 +173,31 @@ class TestDiameter:
             return sweep(self, sources)
 
         monkeypatch.setattr(RoadNetwork, "distances_from", counted)
+        return calls
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_city_grid_needs_few_sweeps(self, s, monkeypatch):
+        # Counts Dijkstra runs, not time: all-pairs would make 1,024.
+        net = generate_grid_network(32, 32, (1, 9), seed=derive_seed(s, "network"))
+        calls = self.count_sweeps(monkeypatch)
         first = net.diameter()
         assert 1 <= len(calls) <= 64
         calls.clear()
         assert net.diameter() == first
         assert calls == []
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_embedding_sweeps_save_sweeps(self, s, monkeypatch):
+        seed = derive_seed(s, "network")
+        alone = generate_grid_network(32, 32, (1, 9), seed=seed)
+        embedded = generate_grid_network(32, 32, (1, 9), seed=seed)
+        embedded.embedding_table()
+        calls = self.count_sweeps(monkeypatch)
+        diameter = alone.diameter()
+        own = len(calls)
+        calls.clear()
+        assert embedded.diameter() == diameter
+        assert len(calls) < own
 
 
 class TestEmbedding:
