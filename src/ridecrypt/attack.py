@@ -311,8 +311,9 @@ class IncrementalAttack:
     :func:`deanonymize`.
 
     A recovered rider vector never changes: a pinned interval can only
-    fault, never move. So each report recovers only the drivers fed since
-    the last one, and keeps the vectors recovered before.
+    fault, never move. So each report recovers, and names the nodes of,
+    only the drivers fed since the last one, and keeps each vector
+    recovered before beside its ``(node, ambiguity)``.
     """
 
     def __init__(
@@ -335,6 +336,8 @@ class IncrementalAttack:
             None if embedding_table is None else embedding_index(embedding_table)
         )
         self._driver_vectors: dict[int, RneVector] = {}
+        # Each recovered driver's (node, ambiguity), with an embedding table.
+        self._driver_nodes: dict[int, tuple[int, int]] = {}
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output and
@@ -342,6 +345,7 @@ class IncrementalAttack:
         :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
         first empty interval faults."""
         self._driver_vectors.pop(driver_id, None)
+        self._driver_nodes.pop(driver_id, None)
         self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         unique, strict = self.ledger.slot_is_unique, self.strict
@@ -377,10 +381,13 @@ class IncrementalAttack:
                 report.rider_node, report.rider_ambiguity = deanonymize(
                     rider_vector, self._index
                 )
-                report.driver_nodes = {
-                    driver_id: deanonymize(vec, self._index)
-                    for driver_id, vec in report.driver_vectors.items()
-                }
+                nodes = self._driver_nodes
+                nodes.update(
+                    (k, deanonymize(vec, self._index))
+                    for k, vec in report.driver_vectors.items()
+                    if k not in nodes
+                )
+                report.driver_nodes = {k: nodes[k] for k in report.driver_vectors}
         return report
 
 

@@ -1,11 +1,13 @@
 """PRF layer: the two keyed functions, key issuance, and nonce handling.
 
-Both PRFs are HMAC-SHA256 truncated to 128 bits. The inner function keys on
-a long-term shared secret and a structured message; the outer function keys
-on an inner output and is applied to a per-block-group nonce. A global
-collision watchdog certifies that no two distinct inputs produced equal
-outputs during a run, which is the assumption the matching step leans on.
-An input is the (key, message) pair the HMAC computes, under either PRF.
+Both PRFs are HMAC-SHA256 (RFC 2104) truncated to 128 bits, computed by one
+kernel on ``hashlib.sha256``. The inner function keys on a long-term shared
+secret and a structured message; the outer function keys on an inner output
+and is applied to a per-block-group nonce. A global collision watchdog
+certifies that no two distinct inputs produced equal outputs during a run,
+which is the assumption the matching step leans on. An input is the (key,
+message) pair the HMAC computes, under either PRF, and its fingerprint
+comes from the kernel's own inner digest, so certifying costs no extra hash.
 
 Within one matching session every driver's inner input and every outer
 input of the matching party is one the rider already evaluated. Inside a
@@ -13,22 +15,24 @@ input of the matching party is one the rider already evaluated. Inside a
 shown to the watchdog, once; repeats are answered from the scope's memo,
 which is discarded when the scope exits. The watchdog already treats a
 repeated identical input as a no-op, so it certifies the same distinct
-inputs as without the memo. The scope also holds codebooks of whole
-protocol values built from PRF outputs: a driver's ciphertext pair for one
-(coordinate, block, value) is filed in ``session_codebook((keys, ctx))``
-and looked up on a repeat, with no message encoded and no memo consulted.
+inputs as without the memo. The batch forms :func:`prf_h_batch` and
+:func:`prf_f_batch` compute a list of inputs in one kernel call and file
+the results into the memo and the watchdog in one step each. The scope
+also holds codebooks of whole protocol values built from PRF outputs: a
+driver's ciphertext pair for one (coordinate, block, value) is filed in
+``session_codebook((keys, ctx))`` and looked up on a repeat, with no
+message encoded and no memo consulted.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import random
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from hashlib import sha256
+from typing import Hashable, Iterator, Sequence
 
 from .errors import PrfCollisionError
 
@@ -49,10 +53,13 @@ class CollisionWatchdog:
     Each observed output is stored against an 8-byte fingerprint of its
     HMAC input, the (key, message) pair; a repeated output with a different
     fingerprint is a genuine collision (fingerprints are deterministic).
-    Both PRFs are the same HMAC, so one (key, message) pair under H and
-    under F is one input, not a collision; ``domain`` only names the PRF in
-    the fault. Tracking stops after ``capacity`` distinct outputs so memory
-    stays bounded; the evaluation counter keeps running regardless.
+    The kernel supplies the fingerprint: seven bytes of its inner digest,
+    which fix the zero-padded key and the message, then the key length,
+    which tells ``k`` from ``k + b"\\x00"``. Both PRFs are the same HMAC,
+    so one (key, message) pair under H and under F is one input, not a
+    collision; ``domain`` only names the PRF in the fault. Tracking stops
+    after ``capacity`` distinct outputs so memory stays bounded; the
+    evaluation counter keeps running regardless.
 
     ``evaluations`` counts the HMACs actually computed: inside a
     ``session_memo()`` scope an input is observed only the first time it
@@ -74,15 +81,10 @@ class CollisionWatchdog:
     def tracked(self) -> int:
         return len(self._seen)
 
-    def observe(self, domain: bytes, key: bytes, message: bytes, output: bytes) -> None:
+    def observe(self, domain: bytes, fingerprint: bytes, output: bytes) -> None:
         self.evaluations += 1
         if not self.enabled or len(self._seen) >= self.CAPACITY:
             return
-        h = hashlib.blake2b(digest_size=8)
-        h.update(len(key).to_bytes(4, "big"))
-        h.update(key)
-        h.update(message)
-        fingerprint = h.digest()
         previous = self._seen.setdefault(output, fingerprint)
         if previous != fingerprint:
             self.collisions += 1
@@ -90,6 +92,28 @@ class CollisionWatchdog:
                 f"distinct PRF inputs produced equal output {output.hex()} "
                 f"under {domain.decode()} after {self.evaluations} evaluations"
             )
+
+    def file(
+        self, domain: bytes, outputs: Sequence[bytes], fingerprints: Sequence[bytes]
+    ) -> None:
+        """:meth:`observe` each (fingerprint, output) pair of distinct
+        inputs, in one step when every output is new and fits.
+
+        The membership test runs over ``seen.keys()``, a set-like view, so
+        it walks the batch, never the certificate."""
+        seen = self._seen
+        new = dict(zip(outputs, fingerprints))
+        if (
+            self.enabled
+            and len(new) == len(outputs)
+            and len(seen) + len(new) <= self.CAPACITY
+            and new.keys().isdisjoint(seen.keys())
+        ):
+            self.evaluations += len(new)
+            seen.update(new)
+            return
+        for output, fingerprint in zip(outputs, fingerprints):
+            self.observe(domain, fingerprint, output)
 
 
 #: Process-wide watchdog shared by both PRFs.
@@ -139,17 +163,77 @@ def session_codebook(key: Hashable) -> dict:
     return book
 
 
+#: HMAC's inner and outer pads (RFC 2104) as ``bytes.translate`` tables.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_BLOCK = 64  # SHA-256 block size
+#: Fingerprint tails by key length; every key longer than a block is hashed
+#: first, so all of them share the last tag.
+_LENGTH_TAGS = [bytes([n]) for n in range(_BLOCK + 2)]
+
+
+def _hmac(pairs: Sequence[tuple[bytes, bytes]]) -> tuple[list[bytes], list[bytes]]:
+    """HMAC-SHA256/128 of each (key, message) pair and the watchdog
+    fingerprint of each input, in order.
+
+    A key's first message is hashed in one shot; a key repeated by the next
+    pairs builds its inner and outer states once and copies them."""
+    outputs, fingerprints = [], []
+    last = inner = None
+    for key, message in pairs:
+        if key != last:
+            last, inner = key, None
+            size = len(key)
+            if size > _BLOCK:
+                key, size = sha256(key).digest(), _BLOCK + 1
+            key = key.ljust(_BLOCK, b"\0")
+            ipad, opad = key.translate(_IPAD), key.translate(_OPAD)
+            tag = _LENGTH_TAGS[size]
+            digest = sha256(ipad + message).digest()
+            output = sha256(opad + digest).digest()
+        else:
+            if inner is None:
+                inner, outer = sha256(ipad), sha256(opad)
+            h = inner.copy()
+            h.update(message)
+            digest = h.digest()
+            h = outer.copy()
+            h.update(digest)
+            output = h.digest()
+        outputs.append(output[:PRF_OUTPUT_BYTES])
+        fingerprints.append(digest[:7] + tag)
+    return outputs, fingerprints
+
+
 def _prf(domain: bytes, key: bytes, message: bytes) -> bytes:
     memo = _memo.get()
     if memo is not None:
         output = memo.get((key, message))
         if output is not None:
             return output
-    output = hmac.new(key, message, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
-    watchdog.observe(domain, key, message, output)
+    (output,), (fingerprint,) = _hmac(((key, message),))
+    watchdog.observe(domain, fingerprint, output)
     if memo is not None:
         memo[key, message] = output
     return output
+
+
+def _prf_batch(domain: bytes, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
+    """:func:`_prf` over a list of inputs: each distinct one missing from
+    the memo is computed once, then filed into the watchdog and the memo in
+    one step each. Outside a scope a throwaway memo serves the batch."""
+    memo = _memo.get()
+    if memo is None:
+        memo = {}
+    todo = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+    if not todo:
+        return [memo[pair] for pair in pairs]
+    outputs, fingerprints = _hmac(todo)
+    watchdog.file(domain, outputs, fingerprints)
+    memo.update(zip(todo, outputs))
+    if len(todo) == len(pairs):  # all new and distinct: todo is pairs
+        return outputs
+    return [memo[pair] for pair in pairs]
 
 
 def prf_h(key: bytes, message: bytes) -> bytes:
@@ -160,6 +244,16 @@ def prf_h(key: bytes, message: bytes) -> bytes:
 def prf_f(derived_key: bytes, nonce: bytes) -> bytes:
     """Outer PRF: keyed on an inner-PRF output, applied to a group nonce."""
     return _prf(b"F", derived_key, nonce)
+
+
+def prf_h_batch(key: bytes, messages: Sequence[bytes]) -> list[bytes]:
+    """:func:`prf_h` under one key of each message, in order."""
+    return _prf_batch(b"H", [(key, message) for message in messages])
+
+
+def prf_f_batch(derived_keys: Sequence[bytes], nonces: Sequence[bytes]) -> list[bytes]:
+    """:func:`prf_f` of each (derived key, nonce) pair, in order."""
+    return _prf_batch(b"F", list(zip(derived_keys, nonces)))
 
 
 def encode_message(

@@ -25,8 +25,6 @@ from .codec import (
     BlockParams,
     decode_signed,
     decompose,
-    encode_signed,
-    weighted_difference,
 )
 from .crypto import (
     PRF_OUTPUT_BYTES,
@@ -34,7 +32,9 @@ from .crypto import (
     encode_message,
     generate_nonce,
     prf_f,
+    prf_f_batch,
     prf_h,
+    prf_h_batch,
     session_codebook,
     xor_bytes,
 )
@@ -42,6 +42,7 @@ from .errors import ProtocolFault, PrfCollisionError
 
 # The payload pad is a slice of a PRF output.
 assert PRF_OUTPUT_BYTES >= PAYLOAD_BYTES
+_PAYLOAD_MASK = (1 << 8 * PAYLOAD_BYTES) - 1
 
 
 @dataclass(frozen=True)
@@ -140,26 +141,47 @@ def rider_encrypt(
     is permuted: it hides the block value, while a group's label is clear.
     Raises :class:`CapacityError` if a coordinate does not fit the block
     parameters.
+
+    Each group draws its nonce, then its permutation. The 4*n*m*2^l HMACs
+    are four batch calls: H over every message under each key, then F over
+    each set of outputs under their groups' nonces.
     """
     _check_location(location, ctx)
     params = ctx.params
-    groups = []
+    base = params.base
+    zone_id, time_slot = ctx.zone_id, ctx.time_slot
+    labels, messages, nonces = [], [], []
     for i, coordinate in enumerate(location):
-        blocks = decompose(coordinate, params)
-        for j, block in enumerate(blocks):
+        for j, block in enumerate(decompose(coordinate, params)):
             nonce = generate_nonce(rng)
-            entries = []
-            for q in range(params.base):
-                message = encode_message(q, i, j, ctx.zone_id, ctx.time_slot)
-                token = prf_f(prf_h(keys.match_key, message), nonce)
-                pad = prf_f(prf_h(keys.mask_key, message), nonce)[:PAYLOAD_BYTES]
-                payload = weighted_difference(q, block, j, params)
-                masked = xor_bytes(pad, encode_signed(payload))
-                entries.append(RiderEntry(c1=token, c2=masked))
-            rng.shuffle(entries)
-            groups.append(
-                RiderBlockGroup(coord=i, block_index=j, nonce=nonce, entries=tuple(entries))
+            order = list(range(base))
+            rng.shuffle(order)
+            labels.append((i, j, block, nonce, order))
+            messages += [
+                encode_message(q, i, j, zone_id, time_slot) for q in range(base)
+            ]
+            nonces += [nonce] * base
+    tokens = prf_f_batch(prf_h_batch(keys.match_key, messages), nonces)
+    pads = prf_f_batch(prf_h_batch(keys.mask_key, messages), nonces)
+    groups = []
+    starts = range(0, len(messages), base)
+    for start, (i, j, block, nonce, order) in zip(starts, labels):
+        weight = params.weight(j)
+        entries = []
+        for q in order:
+            # The pad is the output's first 8 bytes, the low 64 bits of its
+            # little-endian value: XOR the signed payload (q - block) * w_j
+            # and keep those bits, which XORs its two's complement.
+            masked = int.from_bytes(pads[start + q], "little") ^ (q - block) * weight
+            entries.append(
+                RiderEntry(
+                    tokens[start + q],
+                    (masked & _PAYLOAD_MASK).to_bytes(PAYLOAD_BYTES, "little"),
+                )
             )
+        groups.append(
+            RiderBlockGroup(coord=i, block_index=j, nonce=nonce, entries=tuple(entries))
+        )
     return RiderRequest(context=ctx, groups=tuple(groups))
 
 

@@ -2,9 +2,10 @@ import hashlib
 import hmac
 import random
 import threading
-import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ridecrypt import crypto
 from ridecrypt.codec import BlockParams
@@ -19,7 +20,9 @@ from ridecrypt.crypto import (
     generate_nonce,
     issue_system_keys,
     prf_f,
+    prf_f_batch,
     prf_h,
+    prf_h_batch,
     session_codebook,
     session_memo,
     watchdog,
@@ -27,7 +30,7 @@ from ridecrypt.crypto import (
 )
 from ridecrypt.errors import PrfCollisionError
 from ridecrypt.harness import _session_matches
-from ridecrypt.protocol import RideContext
+from ridecrypt.protocol import RideContext, rider_encrypt
 
 # HMAC-SHA256 test vectors from RFC 4231 (test cases 1 and 2).
 RFC4231_VECTORS = [
@@ -171,18 +174,62 @@ class TestXorBytes:
             xor_bytes(b"\x00", b"\x00\x00")
 
 
+def fingerprint(key, message):
+    """The watchdog fingerprint the kernel gives the input (key, message)."""
+    return crypto._hmac([(key, message)])[1][0]
+
+
+# Keys up to 130 bytes cross the 64-byte block, beyond which HMAC hashes
+# the key first.
+KEYS_ANY_LENGTH = st.binary(max_size=130)
+MESSAGES = st.binary(max_size=100)
+
+
+class TestKernel:
+    @given(
+        st.lists(
+            st.tuples(KEYS_ANY_LENGTH, st.lists(MESSAGES, min_size=1, max_size=4)),
+            max_size=4,
+        )
+    )
+    def test_equals_stdlib_hmac(self, runs):
+        # Runs of one key take the copied-state path after their first pair.
+        pairs = [(key, message) for key, messages in runs for message in messages]
+        outputs, fingerprints = crypto._hmac(pairs)
+        assert outputs == [
+            hmac.new(key, message, hashlib.sha256).digest()[:PRF_OUTPUT_BYTES]
+            for key, message in pairs
+        ]
+        assert len(fingerprints) == len(pairs)
+        assert all(len(f) == 8 for f in fingerprints)
+
+    @given(KEYS_ANY_LENGTH, MESSAGES)
+    def test_fingerprint_names_the_input(self, key, message):
+        # Equal inputs, in one call or two, on either path: equal prints.
+        _, prints = crypto._hmac([(key, message), (key, message)])
+        assert prints == [fingerprint(key, message)] * 2
+        # HMAC pads a key with zero bytes, so k and k + 0x00 give one output;
+        # they are still two inputs.
+        padded = key + b"\x00"
+        assert fingerprint(padded, message) != fingerprint(key, message)
+        if len(key) > 64:
+            # A long key and its hash also give one output.
+            hashed = hashlib.sha256(key).digest()
+            assert fingerprint(hashed, message) != fingerprint(key, message)
+
+
 class TestCollisionWatchdog:
     def test_distinct_inputs_same_output_is_fatal(self):
         local = CollisionWatchdog()
-        local.observe(b"H", b"key-one", b"msg-one", b"o" * 16)
+        local.observe(b"H", fingerprint(b"key-one", b"msg-one"), b"o" * 16)
         with pytest.raises(PrfCollisionError):
-            local.observe(b"H", b"key-two", b"msg-two", b"o" * 16)
+            local.observe(b"H", fingerprint(b"key-two", b"msg-two"), b"o" * 16)
         assert local.collisions == 1
 
     def test_repeated_identical_input_is_fine(self):
         local = CollisionWatchdog()
         for _ in range(5):
-            local.observe(b"F", b"key", b"msg", b"o" * 16)
+            local.observe(b"F", fingerprint(b"key", b"msg"), b"o" * 16)
         assert local.collisions == 0
         assert local.evaluations == 5
         assert local.tracked == 1
@@ -260,10 +307,14 @@ class TestSessionMemo:
     def test_collision_is_still_fatal_inside_a_session(
         self, fresh_watchdog, monkeypatch
     ):
-        constant = types.SimpleNamespace(digest=lambda: b"\x00" * 32)
-        monkeypatch.setattr(
-            crypto, "hmac", types.SimpleNamespace(new=lambda *args: constant)
-        )
+        # Every output forced equal; the fingerprints stay those of the inputs.
+        kernel = crypto._hmac
+
+        def constant(pairs):
+            outputs, fingerprints = kernel(pairs)
+            return [b"\x00" * PRF_OUTPUT_BYTES] * len(outputs), fingerprints
+
+        monkeypatch.setattr(crypto, "_hmac", constant)
         key = b"k" * KEY_BYTES
         with session_memo():
             prf_h(key, b"one")
@@ -312,3 +363,72 @@ class TestSessionMemo:
                 assert session_codebook("owner") is book
                 raise RuntimeError("session failed")
         assert session_codebook("owner") == {}
+
+
+class TestBatchFiling:
+    KEY = b"k" * KEY_BYTES
+
+    def test_batches_equal_single_calls(self, fresh_watchdog):
+        messages = [i.to_bytes(2, "big") for i in range(6)]
+        nonces = [b"n" * NONCE_BYTES] * 3 + [b"m" * NONCE_BYTES] * 3
+        inner = prf_h_batch(self.KEY, messages)
+        assert inner == [prf_h(self.KEY, m) for m in messages]
+        assert prf_f_batch(inner, nonces) == list(map(prf_f, inner, nonces))
+        assert fresh_watchdog.tracked == 12
+        assert prf_h_batch(self.KEY, []) == []
+
+    def test_identical_inputs_outside_a_scope_are_no_collision(self, fresh_watchdog):
+        # Each batch computes its distinct inputs once; a second batch, with
+        # no scope to remember the first, computes them again.
+        first = prf_h_batch(self.KEY, [b"one", b"two", b"one"])
+        assert first[0] == first[2] != first[1]
+        assert prf_h_batch(self.KEY, [b"two", b"one"]) == first[1::-1]
+        assert fresh_watchdog.evaluations == 4
+        assert fresh_watchdog.tracked == 2
+        assert fresh_watchdog.collisions == 0
+
+    def test_inside_a_scope_a_batch_computes_only_what_is_missing(self, fresh_watchdog):
+        with session_memo():
+            single = prf_h(self.KEY, b"one")
+            assert prf_h_batch(self.KEY, [b"two", b"one", b"two"])[1] == single
+            prf_h_batch(self.KEY, [b"one", b"two"])
+        assert fresh_watchdog.evaluations == 2
+        assert fresh_watchdog.tracked == 2
+
+    def test_rider_collision_is_fatal_and_files_nothing(
+        self, fresh_watchdog, monkeypatch
+    ):
+        ctx = RideContext(9, 1, BlockParams(2, 2), 3)
+        forced = {encode_message(q, 1, 0, 9, 1) for q in (0, 3)}
+        kernel = crypto._hmac
+
+        def colliding(pairs):
+            outputs, fingerprints = kernel(pairs)
+            outputs = [
+                b"\x00" * PRF_OUTPUT_BYTES if message in forced else output
+                for (_, message), output in zip(pairs, outputs)
+            ]
+            return outputs, fingerprints
+
+        monkeypatch.setattr(crypto, "_hmac", colliding)
+        with pytest.raises(PrfCollisionError):
+            with session_memo():
+                memo = crypto._memo.get()
+                rider_encrypt((1, 2, 3), issue_system_keys(4), ctx, random.Random(4))
+        assert fresh_watchdog.collisions == 1
+        assert memo == {}
+        assert crypto._memo.get() is None
+
+    def test_filing_never_iterates_the_certificate(self, fresh_watchdog):
+        class Unwalkable(dict):
+            def __iter__(self):
+                raise AssertionError("the certificate was iterated")
+
+        fresh_watchdog._seen = Unwalkable()
+        # A session's batches file into a certificate both smaller and
+        # larger than themselves; a repeated batch overlaps it.
+        TestSessionMemo().session(slot=1)
+        prf_h_batch(self.KEY, [b"one", b"two"])
+        prf_h_batch(self.KEY, [b"one", b"two"])
+        assert fresh_watchdog.tracked == TestSessionMemo.FLOOR + 2
+        assert fresh_watchdog.collisions == 0

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from ridecrypt import attack
 from ridecrypt.crypto import watchdog
 from ridecrypt.harness import (
     ExperimentConfig,
@@ -102,6 +103,27 @@ def test_sessions_compute_the_prf_floor_only():
     floor = 4 * aggregate["n"] * aggregate["m"] * 2 ** aggregate["l"]
     assert computed == aggregate["sessions"] * floor
     assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == GOLDEN[0][1]
+
+
+def test_merged_reports_look_up_each_node_once(monkeypatch):
+    # A merged report names the nodes of the drivers fed since the last one
+    # only, so a run makes one lookup per rider report and one per driver.
+    calls = []
+    lookup = attack.deanonymize
+
+    def counted(vector, index):
+        calls.append(vector)
+        return lookup(vector, index)
+
+    monkeypatch.setattr(attack, "deanonymize", counted)
+    records = merged_end_to_end()
+    sessions = [r for r in records if r["record"] == "session"]
+    rider_reports = sum(r["rider_vector_recovered"] for r in sessions)
+    assert rider_reports == 5 and sessions[-1]["rider_vector_recovered"]
+    # The last report recovers every driver fed: 6 sessions of 6 drivers.
+    assert len(calls) == rider_reports + 6 * 6
+    digest = hashlib.sha256(dump_records(records).encode("ascii")).hexdigest()
+    assert digest == GOLDEN[2][1]
 
 
 def test_session_runs_do_not_import_numpy():
