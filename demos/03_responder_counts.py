@@ -27,6 +27,7 @@ print("uniform blocks, strict criterion, 150 sessions per point)")
 expectation = expected_coverage_draws(2)
 print(f"analytic per-block expectation: {float(expectation):.3f} responders\n")
 print("  drivers   fully recovered    note")
+all_exact = True
 for factor in (0.5, 1.0, 2.0, 3.0, 4.0):
     drivers = max(1, math.ceil(factor * expectation))
     _, aggregate = run_synthetic_sessions(
@@ -38,8 +39,16 @@ for factor in (0.5, 1.0, 2.0, 3.0, 4.0):
         seed=5,
         strict=True,
     )
-    rate = aggregate["sessions_fully_recovered"] / aggregate["sessions"]
+    recovered = aggregate["sessions_fully_recovered"]
+    rate = recovered / aggregate["sessions"]
     note = f"{factor:g}x expectation"
+    # A fully recovered session must reproduce the rider and every driver.
+    if aggregate["sessions_all_exact"] != recovered:
+        all_exact = False
+        note += f"; WRONG: {aggregate['sessions_all_exact']} exact of {recovered}"
     print(f"  {drivers:>7}   {rate:>14.1%}    {note}")
 
-print("\nevery fully recovered session reproduced all vectors bit-exactly.")
+if all_exact:
+    print("\nevery fully recovered session reproduced all vectors bit-exactly.")
+else:
+    print("\nWRONG: a fully recovered session did not reproduce all vectors.")

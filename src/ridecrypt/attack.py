@@ -5,38 +5,30 @@ difference for every (coordinate, block) position and every responding
 driver. Dividing out the public weight gives the raw difference
 ``driver_block - rider_block``. Collected across drivers, each position's
 differences confine the rider's block to an integer interval; once the
-interval collapses to a point the block is known, and every driver's block
-follows by adding its difference back. No extra protocol messages are
-needed; the input here is exactly the output of honest matching.
+interval collapses to a point the block is known, and each driver's block
+follows from that driver's own response by adding its difference back. No
+extra protocol messages are needed; the input here is exactly the output of
+honest matching.
 
-The ledger holds the differences in two shapes, one per question the
-attack asks. Per position it keeps the running candidate interval, narrowed by each
-difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and the set of
-distinct differences; together they answer "is the rider block pinned?"
-in O(1). Per driver it keeps one row of ``dim * num_blocks`` differences,
-where position ``(coord, block)`` sits at index ``coord * num_blocks +
-block`` and a position the driver never answered holds the int16 minimum,
-outside every difference range (at most ``2**8 - 1`` in magnitude), and
-each driver vector comes back from its row in one pass. Feeding a response
-costs O(positions) and recovery O(drivers * positions), so an attack is
-linear in what it is fed.
+The ledger is what the provider learns about the rider, and nothing per
+driver. Per position it keeps the running candidate interval, narrowed by
+each difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and the set
+of distinct differences; together they answer "is the rider block pinned?"
+in O(1), and their size is fixed by the position count, however many
+responses were fed. Feeding a response costs O(positions), and recovering
+the drivers O(drivers * positions), one pass over each driver's matches, so
+an attack is linear in what it is fed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, floordiv
 from typing import Iterable, Mapping, Sequence
 
 from .codec import BlockParams, decompose, recompose
 from .errors import LedgerFault
 from .roadnet import RneVector
-
-# Fills a driver row where no difference was recorded. Differences are at
-# most 2**8 - 1 in magnitude (block widths up to 8 bits), so every one fits
-# int16 and this sentinel, the int16 minimum, collides with none.
-_MISSING = -(2**15)
-
 
 def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
     """Interval of block values consistent with the observed differences.
@@ -72,8 +64,8 @@ def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
 
 class DifferenceLedger:
     """The service provider's collection of signed block differences across
-    responding drivers, by position and by driver. Single writer per
-    session; recovery functions only read it."""
+    responding drivers, by position. Single writer per session; recovery
+    functions only read it."""
 
     def __init__(self, params: BlockParams, dim: int) -> None:
         if dim < 1:
@@ -86,13 +78,10 @@ class DifferenceLedger:
         self._lo = [0] * size
         self._hi = [self._base - 1] * size
         self._distinct: list[set[int]] = [set() for _ in range(size)]
-        self._rows: dict[int, list[int]] = {}
 
     def positions(self) -> list[tuple[int, int]]:
         """Every (coord, block) position, in row-index order."""
-        return [
-            (i, j) for i in range(self.dim) for j in range(self.params.num_blocks)
-        ]
+        return [(i, j) for i in range(self.dim) for j in range(self.params.num_blocks)]
 
     def _slot(self, coord: int, block_index: int) -> int:
         """Row index of a position; rejects positions outside the ledger."""
@@ -113,12 +102,12 @@ class DifferenceLedger:
         map's order. Each payload must be an exact multiple of its position
         weight and normalize to an in-range difference; the first entry
         that fails raises, after the entries before it were filed. A
-        driver's later payload for a position replaces its row entry; the
-        position's interval and distinct set keep both differences."""
+        position's interval and distinct set keep every difference filed
+        there, a repeated driver's too; ``driver_id`` names the responder
+        and is not stored."""
         dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
         top = self._base - 1
         lo, hi, distinct = self._lo, self._hi, self._distinct
-        row = self._rows.get(driver_id)
         for (coord, block_index), payload in matches.items():
             if not 0 <= coord < dim:
                 raise ValueError(f"coordinate {coord} out of range")
@@ -135,34 +124,20 @@ class DifferenceLedger:
                 raise LedgerFault(
                     f"difference {d} at ({coord}, {block_index}) exceeds block range"
                 )
-            if row is None:
-                row = self._rows[driver_id] = [_MISSING] * len(lo)
             pos = coord * num_blocks + block_index
-            row[pos] = d
             if lo[pos] < -d:
                 lo[pos] = -d
             if hi[pos] > top - d:
                 hi[pos] = top - d
             distinct[pos].add(d)
 
-    def drivers(self) -> list[int]:
-        return sorted(self._rows)
-
-    def driver_rows(self, driver_ids: Sequence[int]) -> list[list[int]]:
-        """The given drivers' rows, in the given order; a position a driver
-        never answered holds the sentinel ``-2**15``. Read only."""
-        return [self._rows[driver_id] for driver_id in driver_ids]
-
     def _interval_at(self, slot: int) -> tuple[int, int]:
         """Candidate interval at a row index; raises :class:`LedgerFault`
         when no block value is consistent there."""
         lo, hi = self._lo[slot], self._hi[slot]
         if lo > hi:
-            raise LedgerFault(
-                "no block value is consistent at ({}, {})".format(
-                    *divmod(slot, self.params.num_blocks)
-                )
-            )
+            i, j = divmod(slot, self.params.num_blocks)
+            raise LedgerFault(f"no block value is consistent at ({i}, {j})")
         return lo, hi
 
     def slot_is_unique(self, slot: int, strict: bool = False) -> bool:
@@ -215,43 +190,52 @@ def recover_rider_vector(
 
 
 def recover_driver_vectors(
-    ledger: DifferenceLedger,
+    params: BlockParams,
     rider_vector: Sequence[int],
-    driver_ids: Sequence[int] | None = None,
+    matched_responses: Iterable[tuple[int, Mapping[tuple[int, int], int]]],
 ) -> dict[int, RneVector]:
     """Given the recovered rider vector, rebuild each responding driver's
-    vector by adding its recorded differences back onto the rider blocks:
-    the given drivers, or all of them.
+    vector from its own matched response: a driver block is the rider block
+    plus the driver's difference there, so a driver coordinate is the
+    rider's plus the sum of the driver's payloads over its blocks.
 
-    Drivers are handled in id order, each in one pass over its ledger row.
-    A driver that misses a position, or whose block leaves the block range,
-    raises :class:`LedgerFault`; of several, the lowest driver id is
-    reported, and within it the first position.
+    ``matched_responses`` holds ``(driver_id, matches)`` pairs whose
+    payloads :meth:`DifferenceLedger.record_matches` accepted; a repeated
+    driver's later payload wins, position by position. Drivers are handled
+    in id order, each in one pass over its matches. A driver that misses a
+    position, or whose block leaves the block range, raises
+    :class:`LedgerFault`; of several, the lowest driver id is reported, and
+    within it the first position.
     """
-    if len(rider_vector) != ledger.dim:
-        raise ValueError("rider vector dimension does not match ledger")
-    params = ledger.params
     num_blocks, top = params.num_blocks, params.base - 1
+    positions = [(i, j) for i in range(len(rider_vector)) for j in range(num_blocks)]
     rider_blocks = [
         block for coordinate in rider_vector for block in decompose(coordinate, params)
     ]
-    weights = [params.weight(j) for j in range(num_blocks)] * ledger.dim
-    starts = range(0, len(weights), num_blocks)
-    ids = ledger.drivers() if driver_ids is None else sorted(driver_ids)
+    weights = [params.weight(j) for j in range(num_blocks)] * len(rider_vector)
+    starts = range(0, len(positions), num_blocks)
+    latest: dict[int, Mapping[tuple[int, int], int]] = {}
+    for driver_id, matches in matched_responses:
+        earlier = latest.get(driver_id)
+        latest[driver_id] = matches if earlier is None else {**earlier, **matches}
     vectors: dict[int, RneVector] = {}
-    for driver_id, row in zip(ids, ledger.driver_rows(ids)):
-        if _MISSING in row:
-            raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
-        blocks = list(map(add, row, rider_blocks))
+    for driver_id in sorted(latest):
+        matches = latest[driver_id]
+        if list(matches) == positions:  # honest matching's own order
+            payloads = list(matches.values())
+        else:
+            payloads = [matches.get(pos) for pos in positions]
+            if None in payloads:
+                raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
+        blocks = list(map(add, map(floordiv, payloads, weights), rider_blocks))
         if min(blocks) < 0 or max(blocks) > top:
             pos, block = next((p, b) for p, b in enumerate(blocks) if not 0 <= b <= top)
-            i, j = divmod(pos, num_blocks)
+            i, j = positions[pos]
             raise LedgerFault(
                 f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
             )
-        scaled = list(map(mul, blocks, weights))
         vectors[driver_id] = tuple(
-            [sum(scaled[start : start + num_blocks]) for start in starts]
+            [r + sum(payloads[s : s + num_blocks]) for r, s in zip(rider_vector, starts)]
         )
     return vectors
 
@@ -300,20 +284,16 @@ class RecoveryReport:
 
 
 class IncrementalAttack:
-    """The recovery run as responses arrive: :meth:`feed` files one matched
-    response, :meth:`report` recovers what the responses so far reveal.
+    """The rider's recovery as responses arrive: :meth:`feed` files one
+    matched response, :meth:`report` recovers the rider as far as the
+    responses so far reveal it.
 
     ``unique_at`` records, per position, after how many responses the rider
     block became unique under the chosen mode. Uniqueness never reverts as
     differences accumulate, so each response re-checks only the positions
     still open. With ``embedding_table``, a report that recovers the rider
-    also names the rider's and every driver's node through
-    :func:`deanonymize`.
-
-    A recovered rider vector never changes: a pinned interval can only
-    fault, never move. So each report recovers, and names the nodes of,
-    only the drivers fed since the last one, and keeps each vector
-    recovered before beside its ``(node, ambiguity)``.
+    also names the rider's node through :func:`deanonymize`. Drivers are
+    not tracked: :func:`run_attack` recovers them from their responses.
     """
 
     def __init__(
@@ -335,17 +315,12 @@ class IncrementalAttack:
         self._index = (
             None if embedding_table is None else embedding_index(embedding_table)
         )
-        self._driver_vectors: dict[int, RneVector] = {}
-        # Each recovered driver's (node, ambiguity), with an embedding table.
-        self._driver_nodes: dict[int, tuple[int, int]] = {}
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output and
         re-check the open positions, in position order, by
         :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
         first empty interval faults."""
-        self._driver_vectors.pop(driver_id, None)
-        self._driver_nodes.pop(driver_id, None)
         self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         unique, strict = self.ledger.slot_is_unique, self.strict
@@ -358,7 +333,7 @@ class IncrementalAttack:
         self._open = still_open
 
     def report(self) -> RecoveryReport:
-        """Everything recoverable from the responses fed so far."""
+        """The rider's recovery from the responses fed so far."""
         rider_vector, candidates = recover_rider_vector(self.ledger, strict=self.strict)
         report = RecoveryReport(
             blocks_total=len(self.unique_at),
@@ -367,27 +342,10 @@ class IncrementalAttack:
             unique_at=dict(self.unique_at),
             rider_vector=rider_vector,
         )
-        if rider_vector is not None:
-            known = self._driver_vectors
-            known.update(
-                recover_driver_vectors(
-                    self.ledger,
-                    rider_vector,
-                    [k for k in self.ledger.drivers() if k not in known],
-                )
+        if rider_vector is not None and self._index is not None:
+            report.rider_node, report.rider_ambiguity = deanonymize(
+                rider_vector, self._index
             )
-            report.driver_vectors = dict(sorted(known.items()))
-            if self._index is not None:
-                report.rider_node, report.rider_ambiguity = deanonymize(
-                    rider_vector, self._index
-                )
-                nodes = self._driver_nodes
-                nodes.update(
-                    (k, deanonymize(vec, self._index))
-                    for k, vec in report.driver_vectors.items()
-                    if k not in nodes
-                )
-                report.driver_nodes = {k: nodes[k] for k in report.driver_vectors}
         return report
 
 
@@ -398,7 +356,10 @@ def run_attack(
     strict: bool = False,
     embedding_table: Sequence[RneVector] | None = None,
 ) -> RecoveryReport:
-    """Run the full recovery over matched responses, in arrival order.
+    """Run the full recovery over matched responses, in arrival order: the
+    rider by :class:`IncrementalAttack`, then, once the rider is known,
+    every driver by :func:`recover_driver_vectors` and, with
+    ``embedding_table``, each driver's node.
 
     ``matched_responses`` holds ``(driver_id, matches)`` pairs, ``matches``
     being the output of ``ServiceProvider.match_response``: precisely the
@@ -407,4 +368,14 @@ def run_attack(
     attack = IncrementalAttack(params, dim, strict, embedding_table)
     for driver_id, matches in matched_responses:
         attack.feed(driver_id, matches)
-    return attack.report()
+    report = attack.report()
+    if report.rider_vector is not None:
+        report.driver_vectors = recover_driver_vectors(
+            params, report.rider_vector, matched_responses
+        )
+        if attack._index is not None:
+            report.driver_nodes = {
+                k: deanonymize(vec, attack._index)
+                for k, vec in report.driver_vectors.items()
+            }
+    return report

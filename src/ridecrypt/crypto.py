@@ -206,20 +206,17 @@ def _hmac(pairs: Sequence[tuple[bytes, bytes]]) -> tuple[list[bytes], list[bytes
 
 
 def _prf(domain: bytes, key: bytes, message: bytes) -> bytes:
+    """One input: the open scope's memo hit, or :func:`_prf_batch` of one."""
     memo = _memo.get()
     if memo is not None:
         output = memo.get((key, message))
         if output is not None:
             return output
-    (output,), (fingerprint,) = _hmac(((key, message),))
-    watchdog.observe(domain, fingerprint, output)
-    if memo is not None:
-        memo[key, message] = output
-    return output
+    return _prf_batch(domain, [(key, message)])[0]
 
 
 def _prf_batch(domain: bytes, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
-    """:func:`_prf` over a list of inputs: each distinct one missing from
+    """The PRF over a list of inputs: each distinct one missing from
     the memo is computed once, then filed into the watchdog and the memo in
     one step each. Outside a scope a throwaway memo serves the batch."""
     memo = _memo.get()

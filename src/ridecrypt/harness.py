@@ -67,7 +67,7 @@ MAX_WORKERS = 64
 #: Zone id of every synthetic session's ride context.
 SYNTHETIC_ZONE = 7
 
-#: Grid options a session mode takes when unset; table1 leaves them None.
+#: Grid options a session mode without a network file takes when unset.
 GRID_DEFAULTS = {"dim": 8, "rows": 6, "cols": 6, "weight_range": (1, 9)}
 
 #: Config fields only the session modes read; table1 rejects them.
@@ -219,7 +219,7 @@ class ExperimentConfig:
     mode: str
     block_bits: int | None = None  # None: table1 runs all widths, sessions use 2
     num_blocks: int | None = None  # None: sized to the network diameter
-    # The grid options: None takes GRID_DEFAULTS in the session modes.
+    # Grid options; unset, they take GRID_DEFAULTS unless table1 or a network file.
     dim: int | None = None
     rows: int | None = None
     cols: int | None = None
@@ -233,7 +233,7 @@ class ExperimentConfig:
     workers: int = 1  # table1 chunk threads; sessions always run serially
 
     def __post_init__(self) -> None:
-        if self.mode != "table1":
+        if self.mode != "table1" and self.network_file is None:
             for name, default in GRID_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
@@ -258,6 +258,11 @@ class ExperimentConfig:
             given = [name for name in SESSION_ONLY if getattr(self, name) is not None]
             if given:
                 raise ValueError(f"table1 does not take {', '.join(given)}")
+            return
+        if self.network_file is not None:
+            given = [name for name in GRID_DEFAULTS if getattr(self, name) is not None]
+            if given:
+                raise ValueError(f"network_file does not take {', '.join(given)}")
             return
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must be in 1..{MAX_DIM}")
@@ -289,7 +294,7 @@ class ExperimentConfig:
 
 
 def _build_network(config: ExperimentConfig) -> RoadNetwork:
-    if config.network_file:
+    if config.network_file is not None:
         net = load_network(config.network_file)
         if net.dim > MAX_DIM:
             raise ValueError(
@@ -375,8 +380,8 @@ def _recovery_fields(
     params: BlockParams,
 ) -> dict:
     """Record fields that score a recovery against the true vectors.
-    ``driver_vectors`` is ``None`` when the report's driver ids do not
-    index it (merged requests)."""
+    ``driver_vectors`` is ``None`` when the report recovers no driver
+    (merged requests)."""
     true_blocks = [decompose(coordinate, params) for coordinate in rider_vector]
     return {
         "blocks_total": report.blocks_total,
@@ -429,16 +434,12 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     def random_node(*path) -> int:
         return Random(derive_seed(seed, *path)).randrange(net.num_nodes)
 
-    def new_attack() -> IncrementalAttack:
-        return IncrementalAttack(
-            params, dim, strict=config.strict_lemma, embedding_table=table
-        )
-
     # With merged requests the rider is fixed and one attack is fed every
-    # session's responses, reporting after each session. Driver ids are
-    # offset per session, so the per-driver ground truth is skipped.
-    merged = new_attack() if config.merge_requests else None
-    fixed_rider = random_node("rider-node") if config.merge_requests else None
+    # session's responses, reporting on the rider after each session.
+    merged = fixed_rider = None
+    if config.merge_requests:
+        merged = IncrementalAttack(params, dim, config.strict_lemma, table)
+        fixed_rider = random_node("rider-node")
 
     @_naming_session
     def session_record(s: int) -> dict:
@@ -473,11 +474,12 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         if not attack_phase:
             return record
 
-        attack = merged or new_attack()
-        offset = s * drivers if merged else 0
-        for k, matches in matched:
-            attack.feed(k + offset, matches)
-        report = attack.report()
+        if merged:
+            for k, matches in matched:
+                merged.feed(k, matches)
+            report = merged.report()
+        else:
+            report = run_attack(params, dim, matched, config.strict_lemma, table)
         record.update(
             _recovery_fields(
                 report, rider_vector, None if merged else driver_vectors, params

@@ -44,12 +44,14 @@ class TestLedgerRecord:
     def test_normalizes_by_weight(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 1, driver_id=0, payload=8)
-        assert ledger.driver_rows([0]) == [[-(2**15), 2]]
+        assert ledger._distinct == [set(), {2}]
+        assert ledger.interval(0, 1) == (0, 1)
 
     def test_zero_payload(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         ledger.record(0, 0, driver_id=0, payload=0)
-        assert ledger.driver_rows([0]) == [[0, -(2**15)]]
+        assert ledger._distinct == [{0}, set()]
+        assert ledger.interval(0, 0) == (0, 3)
 
     def test_non_divisible_payload_faults(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
@@ -73,7 +75,7 @@ class TestLedgerRecord:
         with pytest.raises(ValueError):
             ledger.interval(0, 2)
 
-    def test_repeated_driver_keeps_latest_row_entry(self):
+    def test_repeated_driver_keeps_every_difference(self):
         ledger = DifferenceLedger(BlockParams(2, 1), 1)
         ledger.record(0, 0, driver_id=4, payload=1)
         ledger.record(0, 0, driver_id=2, payload=-1)
@@ -82,8 +84,30 @@ class TestLedgerRecord:
         # value for 2-bit blocks.
         with pytest.raises(LedgerFault):
             ledger.interval(0, 0)
-        assert ledger.driver_rows([4]) == [[3]]
-        assert ledger.drivers() == [2, 4]
+        assert ledger._distinct == [{1, -1, 3}]
+
+    def test_holds_nothing_per_driver(self):
+        params, dim = BlockParams(2, 3), 4
+        attack = IncrementalAttack(params, dim)
+        ledger = attack.ledger
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(ledger).items()
+                if isinstance(value, (list, tuple, dict, set))
+            }
+
+        before = sizes()
+        rider, *drivers = random_vectors(params, dim, 1001, seed=3)
+        for k, vec in enumerate(drivers):
+            attack.feed(k, honest_matches(params, dim, rider, vec))
+        # 1,000 driver ids later, no container has grown or appeared.
+        assert sizes() == before
+        positions = dim * params.num_blocks
+        for container in (ledger._lo, ledger._hi, ledger._distinct, attack.unique_at):
+            assert len(container) == positions
+        assert all(len(seen) < 2 * params.base for seen in ledger._distinct)
 
 
 def _file(ledger, method, driver_id, matches):
@@ -121,6 +145,20 @@ def payload_maps(draw, params, dim):
     return matches
 
 
+@st.composite
+def attack_feeds(draw):
+    """``(params, dim, strict, feed)``: honest matches of one rider, from
+    few driver ids, so that ids repeat and the latest response must win."""
+    params = BlockParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dim = draw(st.integers(1, 3))
+    strict = draw(st.booleans())
+    vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
+    rider = draw(vector)
+    responses = draw(st.lists(st.tuples(st.integers(0, 4), vector), max_size=12))
+    feed = [(k, honest_matches(params, dim, rider, vec)) for k, vec in responses]
+    return params, dim, strict, feed
+
+
 class TestRecordMatchesEqualsRecord:
     @given(st.data())
     def test_same_state_and_faults(self, data):
@@ -137,7 +175,6 @@ class TestRecordMatchesEqualsRecord:
             assert batched._lo == single._lo
             assert batched._hi == single._hi
             assert batched._distinct == single._distinct
-            assert batched._rows == single._rows
 
     def test_each_fault_matches(self):
         params = BlockParams(2, 2)
@@ -156,7 +193,7 @@ class TestRecordMatchesEqualsRecord:
             assert faults[0] == faults[1]
             assert faults[0][0] is kind and message in faults[0][1]
             # The entry before the fault was filed by both.
-            assert ledgers[0]._rows == ledgers[1]._rows == {5: [1] + [-(2**15)] * 3}
+            assert ledgers[0]._distinct == ledgers[1]._distinct == [{1}] + [set()] * 3
 
 
 class TestRecoverBlock:
@@ -291,64 +328,72 @@ class TestRecoverRiderVector:
 class TestRecoverDriverVectors:
     def test_zero_differences_copy_the_rider(self):
         params = BlockParams(2, 2)
-        ledger = DifferenceLedger(params, 2)
-        ledger.record_matches(4, honest_matches(params, 2, (7, 12), (7, 12)))
-        ledger.record_matches(6, honest_matches(params, 2, (7, 12), (7, 12)))
-        assert recover_driver_vectors(ledger, (7, 12)) == {4: (7, 12), 6: (7, 12)}
-        assert recover_driver_vectors(ledger, (7, 12), [6]) == {6: (7, 12)}
+        matches = honest_matches(params, 2, (7, 12), (7, 12))
+        assert recover_driver_vectors(params, (7, 12), [(4, matches), (6, matches)]) == {
+            4: (7, 12),
+            6: (7, 12),
+        }
 
     def test_difference_shifts_block(self):
         params = BlockParams(2, 1)
-        ledger = DifferenceLedger(params, 1)
-        ledger.record(0, 0, driver_id=0, payload=2)
-        assert recover_driver_vectors(ledger, (1,)) == {0: (3,)}
+        assert recover_driver_vectors(params, (1,), [(0, {(0, 0): 2})]) == {0: (3,)}
 
     def test_inconsistent_rider_vector_faults(self):
         params = BlockParams(2, 1)
-        ledger = DifferenceLedger(params, 1)
-        ledger.record(0, 0, driver_id=0, payload=2)
         with pytest.raises(LedgerFault):
-            recover_driver_vectors(ledger, (3,))  # 3 + 2 exceeds the block range
+            # 3 + 2 exceeds the block range
+            recover_driver_vectors(params, (3,), [(0, {(0, 0): 2})])
 
     def test_incomplete_driver_faults(self):
         params = BlockParams(2, 2)
-        ledger = DifferenceLedger(params, 1)
-        ledger.record(0, 0, driver_id=0, payload=1)
         with pytest.raises(LedgerFault):
-            recover_driver_vectors(ledger, (5,))
+            recover_driver_vectors(params, (5,), [(0, {(0, 0): 1})])
 
     def test_fault_names_lowest_driver_then_first_position(self):
         params = BlockParams(2, 1)
-        ledger = DifferenceLedger(params, 2)
-        ledger.record(0, 0, driver_id=9, payload=3)  # 1 + 3 leaves the range
-        ledger.record(1, 0, driver_id=9, payload=0)
-        ledger.record(0, 0, driver_id=5, payload=-2)  # 1 - 2 leaves the range
-        ledger.record(1, 0, driver_id=5, payload=3)
-        ledger.record(0, 0, driver_id=3, payload=0)
+        matched = [
+            (9, {(0, 0): 3, (1, 0): 0}),  # 1 + 3 leaves the range
+            (5, {(0, 0): -2, (1, 0): 3}),  # 1 - 2 leaves the range
+            (3, {(0, 0): 0}),
+        ]
         with pytest.raises(LedgerFault, match="driver 3 has an incomplete"):
-            recover_driver_vectors(ledger, (1, 1))
-        # Given drivers only, still in id order.
+            recover_driver_vectors(params, (1, 1), matched)
+        # Fed in another order, still in id order.
         with pytest.raises(LedgerFault, match=r"driver 5 block -1 at \(0, 0\)"):
-            recover_driver_vectors(ledger, (1, 1), [9, 5])
-        ledger.record(1, 0, driver_id=3, payload=0)
+            recover_driver_vectors(params, (1, 1), matched[:2])
+        # A repeated driver's responses complete each other.
+        matched.append((3, {(1, 0): 0}))
         with pytest.raises(LedgerFault, match=r"driver 5 block -1 at \(0, 0\)"):
-            recover_driver_vectors(ledger, (1, 1))
+            recover_driver_vectors(params, (1, 1), matched)
 
     def test_incomplete_row_outranks_an_out_of_range_block(self):
         params = BlockParams(2, 1)
-        ledger = DifferenceLedger(params, 2)
-        ledger.record(0, 0, driver_id=4, payload=3)  # 1 + 3 leaves the range
         with pytest.raises(LedgerFault, match="driver 4 has an incomplete"):
-            recover_driver_vectors(ledger, (1, 1))
+            # 1 + 3 leaves the range
+            recover_driver_vectors(params, (1, 1), [(4, {(0, 0): 3})])
+
+    def test_later_payload_wins_position_by_position(self):
+        params = BlockParams(2, 2)
+        matched = [
+            (1, {(0, 0): 1, (0, 1): 4}),
+            (1, {(0, 1): -4}),
+        ]
+        # Rider blocks (1, 1): block 0 takes +1 from the first response,
+        # block 1 takes -1 from the second.
+        assert recover_driver_vectors(params, (5,), matched) == {1: (2,)}
 
     def test_full_width_differences(self):
-        # 8-bit blocks give differences of +-255, beyond an int8 row.
+        # 8-bit blocks give differences of +-255.
         params = BlockParams(8, 1)
         for rider in (0, 255):
-            ledger = DifferenceLedger(params, 1)
-            for k, driver in enumerate((0, 255)):
-                ledger.record_matches(k, honest_matches(params, 1, (rider,), (driver,)))
-            assert recover_driver_vectors(ledger, (rider,)) == {0: (0,), 1: (255,)}
+            matched = [
+                (k, honest_matches(params, 1, (rider,), (driver,)))
+                for k, driver in enumerate((0, 255))
+            ]
+            assert recover_driver_vectors(params, (rider,), matched) == {
+                0: (0,),
+                1: (255,),
+            }
 
     def test_random_instances_match_ground_truth(self):
         rng = random.Random(31)
@@ -360,10 +405,10 @@ class TestRecoverDriverVectors:
                 k: tuple(rng.randrange(params.capacity) for _ in range(dim))
                 for k in range(6)
             }
-            ledger = DifferenceLedger(params, dim)
-            for k, vec in drivers.items():
-                ledger.record_matches(k, honest_matches(params, dim, rider, vec))
-            assert recover_driver_vectors(ledger, rider) == drivers
+            matched = [
+                (k, honest_matches(params, dim, rider, vec)) for k, vec in drivers.items()
+            ]
+            assert recover_driver_vectors(params, rider, matched) == drivers
 
 
 class TestDeanonymize:
@@ -396,6 +441,22 @@ class TestDeanonymize:
 
 
 class TestRunAttack:
+    @given(st.data())
+    def test_every_prefix_matches_the_reference(self, data):
+        params, dim, strict, feed = data.draw(attack_feeds())
+        for upto in range(len(feed) + 1):
+            report = run_attack(params, dim, feed[:upto], strict=strict)
+            expected = reference_attack(params, dim, feed[:upto], strict)
+            assert (
+                report.unique_at,
+                report.candidates,
+                report.rider_vector,
+                report.driver_vectors,
+            ) == expected
+            assert report.blocks_recovered == sum(
+                at is not None for at in expected[0].values()
+            )
+
     def test_unique_at_counts_and_monotone_recovery(self):
         params = BlockParams(1, 2)
         dim = 2
@@ -460,17 +521,7 @@ class TestRunAttack:
 class TestIncrementalAttack:
     @given(st.data())
     def test_every_prefix_matches_from_scratch(self, data):
-        params = BlockParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
-        dim = data.draw(st.integers(1, 3))
-        strict = data.draw(st.booleans())
-        vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
-        rider = data.draw(vector)
-        # Few driver ids, so ids repeat and the latest response must win.
-        responses = data.draw(
-            st.lists(st.tuples(st.integers(0, 4), vector), max_size=12)
-        )
-        feed = [(k, honest_matches(params, dim, rider, vec)) for k, vec in responses]
-
+        params, dim, strict, feed = data.draw(attack_feeds())
         attack = IncrementalAttack(params, dim, strict)
         for upto in range(len(feed) + 1):
             if upto:
@@ -479,19 +530,13 @@ class TestIncrementalAttack:
             for pos, at in attack.unique_at.items():
                 assert (at is not None) == attack.ledger.is_unique(*pos, strict=strict)
             expected = reference_attack(params, dim, feed[:upto], strict)
-            for report in (
-                attack.report(),
-                run_attack(params, dim, feed[:upto], strict=strict),
-            ):
-                assert (
-                    report.unique_at,
-                    report.candidates,
-                    report.rider_vector,
-                    report.driver_vectors,
-                ) == expected
-                assert report.blocks_recovered == sum(
-                    at is not None for at in expected[0].values()
-                )
+            report = attack.report()
+            rider = (report.unique_at, report.candidates, report.rider_vector)
+            assert rider == expected[:3]
+            assert report.driver_vectors == {}
+            assert report.blocks_recovered == sum(
+                at is not None for at in expected[0].values()
+            )
 
     def test_empty_interval_faults_at_its_position(self):
         params = BlockParams(2, 1)

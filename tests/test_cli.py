@@ -161,7 +161,24 @@ class TestSessionModes:
              "--l", "2", "--trials", "2", "--drivers", "2", "--out", str(out)]
         )
         assert code == 0
-        assert read_records(out)[-1]["network_nodes"] == 6
+        records = read_records(out)
+        assert records[-1]["network_nodes"] == 6
+        # The file fixes the network: no grid option is recorded.
+        assert all(records[0][key] is None for key in ("n", "rows", "cols", "weight_range"))
+
+    @pytest.mark.parametrize("flags", [["--n", "5", "--rows", "40"], ["--weights", "1", "9"]])
+    def test_grid_flags_with_network_file_exit_2(self, flags, tmp_path, capsys):
+        net_path = tmp_path / "net.txt"
+        save_network(generate_grid_network(3, 3, (1, 5), seed=1, landmarks=2), net_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["--mode", "protocol_only", "--network-file", str(net_path),
+                 "--trials", "1", "--drivers", "2", "--out", str(tmp_path / "x.jsonl"),
+                 *flags]
+            )
+        assert excinfo.value.code == 2
+        assert "network_file does not take" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
     def test_typed_fault_is_runtime_error(self, fault, tmp_path, monkeypatch, capsys):

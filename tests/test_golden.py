@@ -4,8 +4,10 @@ bytes of these small runs unchanged.
 The first four hashes were taken before the attack layer moved to
 per-driver ledger rows and an incremental merge mode; ``zero_weight_grid``
 was taken before the network diameter moved from all-pairs Dijkstra to
-bounding sweeps. If a change alters a report on purpose, say why where the
-hash is updated.
+bounding sweeps. The benchmark workloads' hashes were taken before driver
+recovery moved from per-driver ledger rows to each driver's own matched
+response. If a change alters a report on purpose, say why where the hash is
+updated.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ from ridecrypt.harness import (
     run_experiment,
     run_synthetic_sessions,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # 4x4 grid, n=4, l=1: at seed 6 every end_to_end session and all but the
 # first merged session recover the rider, so driver recovery and node
@@ -106,8 +110,8 @@ def test_sessions_compute_the_prf_floor_only():
 
 
 def test_merged_reports_look_up_each_node_once(monkeypatch):
-    # A merged report names the nodes of the drivers fed since the last one
-    # only, so a run makes one lookup per rider report and one per driver.
+    # A merged report recovers the rider only: one lookup per rider report,
+    # and no driver is recovered.
     calls = []
     lookup = attack.deanonymize
 
@@ -115,23 +119,46 @@ def test_merged_reports_look_up_each_node_once(monkeypatch):
         calls.append(vector)
         return lookup(vector, index)
 
+    def unreachable(*args):
+        raise AssertionError("a merged run recovered drivers")
+
     monkeypatch.setattr(attack, "deanonymize", counted)
+    monkeypatch.setattr(attack, "recover_driver_vectors", unreachable)
     records = merged_end_to_end()
     sessions = [r for r in records if r["record"] == "session"]
     rider_reports = sum(r["rider_vector_recovered"] for r in sessions)
     assert rider_reports == 5 and sessions[-1]["rider_vector_recovered"]
-    # The last report recovers every driver fed: 6 sessions of 6 drivers.
-    assert len(calls) == rider_reports + 6 * 6
+    assert len(calls) == rider_reports
     digest = hashlib.sha256(dump_records(records).encode("ascii")).hexdigest()
     assert digest == GOLDEN[2][1]
+
+
+#: Report SHA-256 of each benchmark workload at seed 505, where city_merge
+#: recovers the rider in 14 sessions.
+WORKLOADS = [
+    ("sessions_grid", "1766d0f2552cdfc77fd8de421ef0c4011f3afaf8b9db2204a15be097477b5bac"),
+    ("fleet_synthetic", "91f08f0e8a489b242d1075f99da33fc06ee29b0bf01e9b385eef24d8b8f53949"),
+    ("city_merge", "6714380d200004a52be053a85fa09bbe47d3c1a63ee78d552c16e5db8cd048f5"),
+]
+
+
+@pytest.mark.parametrize("workload, digest", WORKLOADS, ids=[w for w, _ in WORKLOADS])
+def test_benchmark_workload_hash_unchanged(workload, digest, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import worker
+
+    records = worker.run_workload(workload, 505, 1)
+    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == digest
+    if workload == "city_merge":
+        assert records[-1]["sessions_rider_exact"] == 14
 
 
 def test_session_runs_do_not_import_numpy():
     # numpy serves table1 only. A fresh interpreter, since the suite itself
     # imports numpy: the strict synthetic run recovers every driver, and the
     # merged run recovers the rider and names the nodes.
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
+    tests = os.path.join(ROOT, "tests")
+    src = os.path.join(ROOT, "src")
     script = (
         "import sys, test_golden\n"
         "assert test_golden.strict_synthetic()[-1]['sessions_all_exact'] == 3\n"

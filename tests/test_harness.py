@@ -152,6 +152,10 @@ class TestConfigValidation:
             {"mode": "table1", "rows": 6},
             {"mode": "table1", "cols": 6},
             {"mode": "table1", "weight_range": (1, 9)},
+            {"network_file": "city.txt", "dim": 8},
+            {"network_file": "city.txt", "rows": 6},
+            {"network_file": "city.txt", "cols": 6},
+            {"network_file": "city.txt", "weight_range": (1, 9)},
         ],
     )
     def test_bad_values(self, kwargs):
@@ -291,8 +295,10 @@ class TestSessionRuns:
         net = generate_grid_network(3, 3, (1, 4), seed=2, landmarks=4)
         path = tmp_path / "net.txt"
         save_network(net, path)
+        # The file replaces the grid, so the grid options stay unset.
+        grid = dict.fromkeys(("dim", "rows", "cols", "weight_range"))
         records, aggregate = run_sessions(
-            small_config(network_file=str(path), trials=2)
+            small_config(network_file=str(path), trials=2, **grid)
         )
         assert aggregate["network_nodes"] == 9
         assert aggregate["selection_matches"] == 2

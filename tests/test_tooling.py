@@ -2,9 +2,8 @@
 
 ``perfbench/tracer.py`` rebinds functions and methods by name and
 ``perfbench/worker.py`` builds its runs from harness keywords, so a rename
-here would crash ``perfbench/run.py --trace 1``. Demos 01 and 02 exercise
-the public API end to end and must print no failure marker; demo 03 takes
-several seconds and is left out.
+here would crash ``perfbench/run.py --trace 1``. The demos exercise the
+public API end to end and must print no failure marker.
 The README's quick start runs as written and prints what its comment says.
 """
 
@@ -49,7 +48,7 @@ def test_worker_arguments_fit_the_harness(perfbench):
         ).validate()
 
 
-DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py"]
+DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py", "03_responder_counts.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -63,7 +62,7 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     # Demo 01 marks a distance that differs from plaintext, demo 02 a node
-    # it located wrongly.
+    # it located wrongly, demo 03 a recovered session with a wrong vector.
     assert "MISMATCH" not in result.stdout
     assert "WRONG" not in result.stdout
 
