@@ -17,6 +17,7 @@ from ridecrypt import (
     RideContext,
     ServiceProvider,
     driver_encrypt,
+    embedding_index,
     generate_grid_network,
     issue_system_keys,
     rider_encrypt,
@@ -61,7 +62,7 @@ for upto, (k, matches) in enumerate(matched, start=1):
     if lo == hi:
         break
 
-report = run_attack(params, net.dim, matched, embedding_table=table)
+report = run_attack(params, net.dim, matched, index=embedding_index(table))
 print(f"\nblocks pinned: {report.blocks_recovered}/{report.blocks_total}")
 slowest = max((at for at in report.unique_at.values() if at), default=None)
 if slowest is not None and report.rider_vector is not None:

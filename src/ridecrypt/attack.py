@@ -15,9 +15,13 @@ driver. Per position it keeps the running candidate interval, narrowed by
 each difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and the set
 of distinct differences; together they answer "is the rider block pinned?"
 in O(1), and their size is fixed by the position count, however many
-responses were fed. Feeding a response costs O(positions), and recovering
-the drivers O(drivers * positions), one pass over each driver's matches, so
-an attack is linear in what it is fed.
+responses were fed. Feeding a response costs at most O(positions), and
+recovering the drivers O(drivers * positions), one pass over each driver's
+matches, so an attack is linear in what it is fed. Filing a (position,
+payload) pair again changes nothing, and honest drivers send at most
+``2**(l+1) - 1`` distinct payloads per position, so each pair is checked
+and filed once: a response whose pairs were all filed before costs one
+subset test, and only the positions a response changed are re-checked.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ class DifferenceLedger:
         self._lo = [0] * size
         self._hi = [self._base - 1] * size
         self._distinct: list[set[int]] = [set() for _ in range(size)]
+        # Every ((coord, block), payload) pair filed so far.
+        self._accepted: set[tuple[tuple[int, int], int]] = set()
 
     def positions(self) -> list[tuple[int, int]]:
         """Every (coord, block) position, in row-index order."""
@@ -97,18 +103,31 @@ class DifferenceLedger:
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
-    ) -> None:
+    ) -> list[int]:
         """File a whole ``ServiceProvider.match_response`` output, in the
         map's order. Each payload must be an exact multiple of its position
         weight and normalize to an in-range difference; the first entry
         that fails raises, after the entries before it were filed. A
         position's interval and distinct set keep every difference filed
         there, a repeated driver's too; ``driver_id`` names the responder
-        and is not stored."""
+        and is not stored.
+
+        Filing a (label, payload) pair is idempotent and its checks depend
+        on nothing else, so a pair accepted before is skipped: a response
+        whose pairs were all seen costs one subset test, and the pairs
+        kept number at most ``2**(l+1) - 1`` per position. Returns the row
+        indexes of the positions that a new pair reached, in map order."""
+        accepted = self._accepted
+        if accepted.issuperset(matches.items()):
+            return []
         dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
         top = self._base - 1
         lo, hi, distinct = self._lo, self._hi, self._distinct
-        for (coord, block_index), payload in matches.items():
+        changed = []
+        for pair in matches.items():
+            if pair in accepted:
+                continue
+            (coord, block_index), payload = pair
             if not 0 <= coord < dim:
                 raise ValueError(f"coordinate {coord} out of range")
             if not 0 <= block_index < num_blocks:
@@ -130,6 +149,9 @@ class DifferenceLedger:
             if hi[pos] > top - d:
                 hi[pos] = top - d
             distinct[pos].add(d)
+            accepted.add(pair)
+            changed.append(pos)
+        return changed
 
     def _interval_at(self, slot: int) -> tuple[int, int]:
         """Candidate interval at a row index; raises :class:`LedgerFault`
@@ -213,7 +235,6 @@ def recover_driver_vectors(
         block for coordinate in rider_vector for block in decompose(coordinate, params)
     ]
     weights = [params.weight(j) for j in range(num_blocks)] * len(rider_vector)
-    starts = range(0, len(positions), num_blocks)
     latest: dict[int, Mapping[tuple[int, int], int]] = {}
     for driver_id, matches in matched_responses:
         earlier = latest.get(driver_id)
@@ -234,9 +255,8 @@ def recover_driver_vectors(
             raise LedgerFault(
                 f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
             )
-        vectors[driver_id] = tuple(
-            [r + sum(payloads[s : s + num_blocks]) for r, s in zip(rider_vector, starts)]
-        )
+        runs = zip(*[iter(payloads)] * num_blocks)  # one coordinate's payloads each
+        vectors[driver_id] = tuple(map(add, rider_vector, map(sum, runs)))
     return vectors
 
 
@@ -291,8 +311,9 @@ class IncrementalAttack:
     ``unique_at`` records, per position, after how many responses the rider
     block became unique under the chosen mode. Uniqueness never reverts as
     differences accumulate, so each response re-checks only the positions
-    still open. With ``embedding_table``, a report that recovers the rider
-    also names the rider's node through :func:`deanonymize`. Drivers are
+    still open. With ``index``, the :func:`embedding_index` of the
+    network's embedding table, a report that recovers the rider also names
+    the rider's node through :func:`deanonymize`. Drivers are
     not tracked: :func:`run_attack` recovers them from their responses.
     """
 
@@ -301,7 +322,7 @@ class IncrementalAttack:
         params: BlockParams,
         dim: int,
         strict: bool = False,
-        embedding_table: Sequence[RneVector] | None = None,
+        index: Mapping[RneVector, tuple[int, int]] | None = None,
     ) -> None:
         self.ledger = DifferenceLedger(params, dim)
         self.strict = strict
@@ -310,27 +331,24 @@ class IncrementalAttack:
             pos: None for pos in self.ledger.positions()
         }
         self._positions = self.ledger.positions()
-        # Row indexes of the positions not yet unique, in position order.
-        self._open = list(range(len(self._positions)))
-        self._index = (
-            None if embedding_table is None else embedding_index(embedding_table)
-        )
+        # Row indexes of the positions not yet unique.
+        self._open = set(range(len(self._positions)))
+        self._index = index
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
         """File one driver's ``ServiceProvider.match_response`` output and
-        re-check the open positions, in position order, by
+        re-check, in position order, the open positions it changed, by
         :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
-        first empty interval faults."""
-        self.ledger.record_matches(driver_id, matches)
+        first empty interval faults. A position the response left alone
+        keeps the answer it had. A fault ends the attack: a position that
+        the faulting response changed may stay unchecked."""
+        changed = self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         unique, strict = self.ledger.slot_is_unique, self.strict
-        still_open = []
-        for slot in self._open:
+        for slot in sorted(self._open.intersection(changed)):
             if unique(slot, strict):
                 self.unique_at[self._positions[slot]] = self.responses
-            else:
-                still_open.append(slot)
-        self._open = still_open
+                self._open.remove(slot)
 
     def report(self) -> RecoveryReport:
         """The rider's recovery from the responses fed so far."""
@@ -354,18 +372,18 @@ def run_attack(
     dim: int,
     matched_responses: Sequence[tuple[int, Mapping[tuple[int, int], int]]],
     strict: bool = False,
-    embedding_table: Sequence[RneVector] | None = None,
+    index: Mapping[RneVector, tuple[int, int]] | None = None,
 ) -> RecoveryReport:
     """Run the full recovery over matched responses, in arrival order: the
     rider by :class:`IncrementalAttack`, then, once the rider is known,
-    every driver by :func:`recover_driver_vectors` and, with
-    ``embedding_table``, each driver's node.
+    every driver by :func:`recover_driver_vectors` and, with ``index``
+    from :func:`embedding_index`, each driver's node.
 
     ``matched_responses`` holds ``(driver_id, matches)`` pairs, ``matches``
     being the output of ``ServiceProvider.match_response``: precisely the
     data the matching party produces while doing its legitimate job.
     """
-    attack = IncrementalAttack(params, dim, strict, embedding_table)
+    attack = IncrementalAttack(params, dim, strict, index)
     for driver_id, matches in matched_responses:
         attack.feed(driver_id, matches)
     report = attack.report()
@@ -373,9 +391,8 @@ def run_attack(
         report.driver_vectors = recover_driver_vectors(
             params, report.rider_vector, matched_responses
         )
-        if attack._index is not None:
+        if index is not None:
             report.driver_nodes = {
-                k: deanonymize(vec, attack._index)
-                for k, vec in report.driver_vectors.items()
+                k: deanonymize(vec, index) for k, vec in report.driver_vectors.items()
             }
     return report

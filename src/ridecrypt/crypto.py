@@ -20,8 +20,9 @@ inputs as without the memo. The batch forms :func:`prf_h_batch` and
 the results into the memo and the watchdog in one step each. The scope
 also holds codebooks of whole protocol values built from PRF outputs: a
 driver's ciphertext pair for one (coordinate, block, value) is filed in
-``session_codebook((keys, ctx))`` and looked up on a repeat, with no
-message encoded and no memo consulted.
+``session_codebook((keys, ctx))``, in the row of its position at the slot
+of its value, and read back on a repeat with no message encoded and no
+memo consulted.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ class CollisionWatchdog:
     which tells ``k`` from ``k + b"\\x00"``. Both PRFs are the same HMAC,
     so one (key, message) pair under H and under F is one input, not a
     collision; ``domain`` only names the PRF in the fault. Tracking stops
-    after ``capacity`` distinct outputs so memory stays bounded; the
-    evaluation counter keeps running regardless.
+    after ``CAPACITY`` distinct outputs so memory stays bounded; the
+    evaluation counter keeps running regardless, and ``untracked`` counts
+    each computed output left unchecked because the certificate was full
+    or the watchdog disabled, so a run is certified over ``tracked``
+    outputs and says how many it was not.
 
     ``evaluations`` counts the HMACs actually computed: inside a
     ``session_memo()`` scope an input is observed only the first time it
@@ -69,11 +73,12 @@ class CollisionWatchdog:
 
     CAPACITY = 10_000_000
 
-    __slots__ = ("evaluations", "collisions", "enabled", "_seen")
+    __slots__ = ("evaluations", "collisions", "untracked", "enabled", "_seen")
 
     def __init__(self) -> None:
         self.evaluations = 0
         self.collisions = 0
+        self.untracked = 0
         self.enabled = True
         self._seen: dict[bytes, bytes] = {}
 
@@ -84,6 +89,7 @@ class CollisionWatchdog:
     def observe(self, domain: bytes, fingerprint: bytes, output: bytes) -> None:
         self.evaluations += 1
         if not self.enabled or len(self._seen) >= self.CAPACITY:
+            self.untracked += 1
             return
         previous = self._seen.setdefault(output, fingerprint)
         if previous != fingerprint:

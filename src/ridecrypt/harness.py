@@ -22,7 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .attack import IncrementalAttack, RecoveryReport, run_attack
+from .attack import IncrementalAttack, RecoveryReport, embedding_index, run_attack
 from .codec import BlockParams, decompose
 from .crypto import (
     MAX_DIM,
@@ -429,6 +429,7 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     sessions = config.resolved_trials
     drivers = config.resolved_drivers
     attack_phase = config.mode == "end_to_end"
+    index = embedding_index(table) if attack_phase else None
     seed = config.seed
 
     def random_node(*path) -> int:
@@ -438,7 +439,7 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     # session's responses, reporting on the rider after each session.
     merged = fixed_rider = None
     if config.merge_requests:
-        merged = IncrementalAttack(params, dim, config.strict_lemma, table)
+        merged = IncrementalAttack(params, dim, config.strict_lemma, index)
         fixed_rider = random_node("rider-node")
 
     @_naming_session
@@ -479,7 +480,7 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
                 merged.feed(k, matches)
             report = merged.report()
         else:
-            report = run_attack(params, dim, matched, config.strict_lemma, table)
+            report = run_attack(params, dim, matched, config.strict_lemma, index)
         record.update(
             _recovery_fields(
                 report, rider_vector, None if merged else driver_vectors, params

@@ -43,6 +43,7 @@ from .errors import ProtocolFault, PrfCollisionError
 # The payload pad is a slice of a PRF output.
 assert PRF_OUTPUT_BYTES >= PAYLOAD_BYTES
 _PAYLOAD_MASK = (1 << 8 * PAYLOAD_BYTES) - 1
+_PAYLOAD_SIGN = 1 << 8 * PAYLOAD_BYTES - 1
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,14 @@ class RideContext:
     @property
     def total_blocks(self) -> int:
         return self.dim * self.params.num_blocks
+
+    @cached_property
+    def labels(self) -> tuple[tuple[int, int], ...]:
+        """Every (coordinate, block index) label, in that order: the order
+        of a driver's entries and of an honest match."""
+        return tuple(
+            (i, j) for i in range(self.dim) for j in range(self.params.num_blocks)
+        )
 
 
 class RiderEntry(NamedTuple):
@@ -196,35 +205,47 @@ def driver_encrypt(
     position in the clear, so the response needs no randomness.
 
     A pair depends only on the keys, the context and (coordinate, block,
-    value), so each one is built once per ``session_memo`` scope and then
-    taken from the scope's codebook for ``(keys, ctx)``."""
+    value), so each one is built once per ``session_memo`` scope. The
+    scope's codebook for ``(keys, ctx)`` holds, per position in label
+    order, a row of ``2**l`` slots by block value: a response is one read
+    of a slot per row, and only empty slots are filled, in position order.
+    """
     _check_location(location, ctx)
     params = ctx.params
-    match_key, mask_key = keys.match_key, keys.mask_key
-    zone_id, time_slot = ctx.zone_id, ctx.time_slot
+    if min(location) < 0 or max(location) >= params.capacity:
+        for coordinate in location:
+            decompose(coordinate, params)  # raises CapacityError
+    bits, mask = params.block_bits, params.base - 1
+    shifts = range(0, bits * params.num_blocks, bits)
+    blocks = [coordinate >> shift & mask for coordinate in location for shift in shifts]
     book = session_codebook((keys, ctx))
-    entries = []
-    for i, coordinate in enumerate(location):
-        for j, block in enumerate(decompose(coordinate, params)):
-            entry = book.get((i, j, block))
-            if entry is None:
+    if not book:
+        book.update((label, [None] * params.base) for label in ctx.labels)
+    entries = list(map(list.__getitem__, book.values(), blocks))
+    if None in entries:
+        match_key, mask_key = keys.match_key, keys.mask_key
+        zone_id, time_slot = ctx.zone_id, ctx.time_slot
+        for pos, ((i, j), row) in enumerate(book.items()):
+            block = blocks[pos]
+            if row[block] is None:
                 message = encode_message(block, i, j, zone_id, time_slot)
-                entry = book[i, j, block] = DriverEntry(
+                row[block] = DriverEntry(
                     i, j, prf_h(match_key, message), prf_h(mask_key, message)
                 )
-            entries.append(entry)
+                entries[pos] = row[block]
     return DriverResponse(driver_id=driver_id, context=ctx, entries=tuple(entries))
 
 
 class _MatchIndex(NamedTuple):
     """What the matching party keeps per request: each label's rider group
-    with its token table, and every payload unmasked so far by driver pair.
-    An honest pair is deterministic, so drivers sharing a block value at a
-    position send the same pair; the cache key is the whole pair, label,
-    ``c1`` and ``c2``, so a forged pair never gets another pair's payload."""
+    with its token table, and every payload unmasked so far by driver pair,
+    as the ``(label, payload)`` item of a match. An honest pair is
+    deterministic, so drivers sharing a block value at a position send the
+    same pair; the cache key is the whole pair, label, ``c1`` and ``c2``,
+    so a forged pair never gets another pair's payload."""
 
     groups: dict[tuple[int, int], tuple[RiderBlockGroup, dict[bytes, tuple[bytes, ...]]]]
-    payloads: dict[DriverEntry, int]
+    payloads: dict[DriverEntry, tuple[tuple[int, int], int]]
 
 
 def _token_table(group: RiderBlockGroup) -> dict[bytes, tuple[bytes, ...]]:
@@ -248,8 +269,13 @@ def _unmask(
             f"{len(hits)} rider entries matched one driver ciphertext at "
             f"position ({group.coord}, {group.block_index})"
         )
-    pad = prf_f(entry.c2, group.nonce)[:PAYLOAD_BYTES]
-    return decode_signed(xor_bytes(hits[0], pad))
+    masked, pad = hits[0], prf_f(entry.c2, group.nonce)
+    if len(masked) != PAYLOAD_BYTES:  # a malformed rider entry faults here
+        return decode_signed(xor_bytes(masked, pad[:PAYLOAD_BYTES]))
+    # As in rider_encrypt, the pad is the low 64 bits of the output's
+    # little-endian value; the payload is their XOR in two's complement.
+    value = int.from_bytes(masked, "little") ^ int.from_bytes(pad, "little")
+    return ((value & _PAYLOAD_MASK) ^ _PAYLOAD_SIGN) - _PAYLOAD_SIGN
 
 
 def sp_match_block(group: RiderBlockGroup, entry: DriverEntry) -> int | None:
@@ -270,9 +296,14 @@ def sp_compute_distance(
 
     The map must hold exactly the ``dim * num_blocks`` positions: as its
     keys are distinct, the right count and a hit for every in-range
-    position leave no room for a missing, extra or out-of-range one.
+    position leave no room for a missing, extra or out-of-range one. A
+    map in label order, as matching returns it, is summed in runs of
+    ``num_blocks`` values.
     """
     num_blocks = ctx.params.num_blocks
+    if tuple(diffs) == ctx.labels:
+        runs = zip(*[iter(diffs.values())] * num_blocks)
+        return max(map(abs, map(sum, runs)))
     if len(diffs) == ctx.dim * num_blocks:
         try:
             return max(
@@ -303,23 +334,37 @@ class ServiceProvider:
         duplicated pair, are protocol faults.
 
         The request is indexed on its first match, and each distinct driver
-        pair is unmasked once per request; a later equal pair, from any
-        driver, is one dictionary hit.
+        pair is unmasked once per request. A response whose pairs were all
+        unmasked before, at distinct labels covering every position, is
+        answered from the cache in one step; anything new or wrong goes
+        through the per-entry loop, which alone fills the cache and raises.
         """
-        if request.context != self.context:
+        ctx = self.context
+        # Parties of one session share the context object; identity spares
+        # the dataclass comparison.
+        if request.context is not ctx and request.context != ctx:
             raise ProtocolFault("request belongs to a different session")
-        if response.context != self.context:
+        if response.context is not ctx and response.context != ctx:
             raise ProtocolFault("response belongs to a different session")
         groups, payloads = request._match_index
-        diffs: dict[tuple[int, int], int] = {}
-        for entry in response.entries:
+        entries = response.entries
+        try:
+            cached = list(map(payloads.get, entries))
+        except TypeError:  # an unhashable entry: the loop raises in order
+            cached = [None]
+        if None not in cached:
+            diffs = dict(cached)
+            if len(diffs) == len(entries) == ctx.total_blocks:
+                return diffs
+        diffs = {}
+        for entry in entries:
             label = entry[:2]
             # A label reaches diffs only through its group, so testing for a
             # duplicate before the group raises the same fault as after it.
             if label in diffs:
                 raise ProtocolFault(f"duplicate driver ciphertext at {label}")
-            payload = payloads.get(entry)
-            if payload is None:
+            item = payloads.get(entry)
+            if item is None:
                 found = groups.get(label)
                 if found is None:
                     raise ProtocolFault(
@@ -330,12 +375,10 @@ class ServiceProvider:
                     raise ProtocolFault(
                         f"driver ciphertext at {label} matched no rider entry"
                     )
-                payloads[entry] = payload
-            diffs[label] = payload
-        if len(diffs) != self.context.total_blocks:
-            raise ProtocolFault(
-                f"matched {len(diffs)} of {self.context.total_blocks} positions"
-            )
+                item = payloads[entry] = (label, payload)
+            diffs[label] = item[1]
+        if len(diffs) != ctx.total_blocks:
+            raise ProtocolFault(f"matched {len(diffs)} of {ctx.total_blocks} positions")
         return diffs
 
     def select_driver(

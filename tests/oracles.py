@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ridecrypt.codec import PAYLOAD_BYTES, decode_signed
 from ridecrypt.crypto import encode_message, prf_f, prf_h, xor_bytes
+from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
 
 
 def floyd_warshall(net) -> list[list[int]]:
@@ -61,6 +62,112 @@ def decrypt_request(request, keys) -> dict[tuple[int, int], int]:
         assert len(seen) == 1, "candidates disagree on the rider block"
         blocks[(group.coord, group.block_index)] = seen.pop()
     return blocks
+
+
+def reference_match(request, response, context) -> dict[tuple[int, int], int]:
+    """``ServiceProvider.match_response`` one entry at a time, with no index
+    and no cache: each driver pair is tried against every entry of its
+    rider group and unmasked with ``xor_bytes``. Raises the same faults, in
+    the same order."""
+    if request.context != context:
+        raise ProtocolFault("request belongs to a different session")
+    if response.context != context:
+        raise ProtocolFault("response belongs to a different session")
+    groups = {}
+    for group in request.groups:
+        label = (group.coord, group.block_index)
+        if label in groups:
+            raise ProtocolFault("rider request repeats a (coord, block) group")
+        groups[label] = group
+    diffs = {}
+    for entry in response.entries:
+        label = (entry.coord, entry.block_index)
+        if label in diffs:
+            raise ProtocolFault(f"duplicate driver ciphertext at {label}")
+        group = groups.get(label)
+        if group is None:
+            raise ProtocolFault(f"driver ciphertext at {label} has no rider group")
+        token = prf_f(entry.c1, group.nonce)
+        hits = [e.c2 for e in group.entries if e.c1 == token]
+        if len(hits) > 1:
+            raise PrfCollisionError(
+                f"{len(hits)} rider entries matched one driver ciphertext at "
+                f"position ({group.coord}, {group.block_index})"
+            )
+        if not hits:
+            raise ProtocolFault(f"driver ciphertext at {label} matched no rider entry")
+        pad = prf_f(entry.c2, group.nonce)[:PAYLOAD_BYTES]
+        diffs[label] = decode_signed(xor_bytes(hits[0], pad))
+    total = context.dim * context.params.num_blocks
+    if len(diffs) != total:
+        raise ProtocolFault(f"matched {len(diffs)} of {total} positions")
+    return diffs
+
+
+def reference_distance(diffs, ctx) -> int:
+    """``sp_compute_distance`` by lookups: the map must cover exactly the
+    (coord, block) positions, in any order."""
+    m = ctx.params.num_blocks
+    if set(diffs) != {(i, j) for i in range(ctx.dim) for j in range(m)}:
+        raise ValueError("difference map does not cover every (coord, block) position")
+    return max(abs(sum(diffs[(i, j)] for j in range(m))) for i in range(ctx.dim))
+
+
+class ReferenceLedger:
+    """``DifferenceLedger`` filing as a plain list of differences per
+    position: every entry is checked and filed, in map order, with no
+    memory of what was filed before, and bounds are recomputed by scans."""
+
+    def __init__(self, params, dim):
+        self.params, self.dim = params, dim
+        self.top = params.base - 1
+        self.positions = [(i, j) for i in range(dim) for j in range(params.num_blocks)]
+        self.diffs = {pos: [] for pos in self.positions}
+        self.unique_at = {pos: None for pos in self.positions}
+        self.responses = 0
+
+    def file(self, matches) -> None:
+        for (coord, block_index), payload in matches.items():
+            if not 0 <= coord < self.dim:
+                raise ValueError(f"coordinate {coord} out of range")
+            if not 0 <= block_index < self.params.num_blocks:
+                raise ValueError(f"block index {block_index} out of range")
+            weight = self.params.base**block_index
+            if payload % weight:
+                raise LedgerFault(
+                    f"payload {payload} at ({coord}, {block_index}) is not a "
+                    f"multiple of weight {weight}"
+                )
+            d = payload // weight
+            if not -self.top <= d <= self.top:
+                raise LedgerFault(
+                    f"difference {d} at ({coord}, {block_index}) exceeds block range"
+                )
+            self.diffs[(coord, block_index)].append(d)
+
+    def bounds(self, pos) -> tuple[int, int]:
+        """The running interval's ends; ``lo > hi`` when it is empty."""
+        diffs = self.diffs[pos]
+        lo = max([0] + [-d for d in diffs])
+        return lo, min([self.top] + [self.top - d for d in diffs])
+
+    def feed(self, matches, strict: bool) -> None:
+        """``IncrementalAttack.feed``: file, then test every position not
+        yet unique, in position order."""
+        self.file(matches)
+        self.responses += 1
+        for pos in self.positions:
+            if self.unique_at[pos] is not None:
+                continue
+            if strict:
+                unique = len(set(self.diffs[pos])) == self.params.base
+            else:
+                lo, hi = self.bounds(pos)
+                if lo > hi:
+                    raise LedgerFault(f"no block value is consistent at {pos}")
+                unique = lo == hi
+            if unique:
+                self.unique_at[pos] = self.responses
 
 
 def feasible_blocks(diffs, block_bits: int) -> list[int]:

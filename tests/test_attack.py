@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import feasible_blocks, reference_attack
+from oracles import ReferenceLedger, feasible_blocks, reference_attack
 from ridecrypt.attack import (
     DifferenceLedger,
     IncrementalAttack,
@@ -16,7 +16,7 @@ from ridecrypt.attack import (
     recover_rider_vector,
     run_attack,
 )
-from ridecrypt.codec import BlockParams, decompose, weighted_difference
+from ridecrypt.codec import BlockParams, decompose, recompose, weighted_difference
 from ridecrypt.errors import LedgerFault
 from ridecrypt.roadnet import RoadNetwork, generate_grid_network
 
@@ -102,9 +102,15 @@ class TestLedgerRecord:
         rider, *drivers = random_vectors(params, dim, 1001, seed=3)
         for k, vec in enumerate(drivers):
             attack.feed(k, honest_matches(params, dim, rider, vec))
-        # 1,000 driver ids later, no container has grown or appeared.
-        assert sizes() == before
+        # 1,000 driver ids later, no container has appeared, and only the
+        # accepted pairs grew: one per distinct difference at a position.
+        after = sizes()
+        accepted = after.pop("_accepted")
+        del before["_accepted"]
+        assert after == before
         positions = dim * params.num_blocks
+        assert accepted == sum(map(len, ledger._distinct))
+        assert accepted <= positions * (2 * params.base - 1)
         for container in (ledger._lo, ledger._hi, ledger._distinct, attack.unique_at):
             assert len(container) == positions
         assert all(len(seen) < 2 * params.base for seen in ledger._distinct)
@@ -194,6 +200,92 @@ class TestRecordMatchesEqualsRecord:
             assert faults[0][0] is kind and message in faults[0][1]
             # The entry before the fault was filed by both.
             assert ledgers[0]._distinct == ledgers[1]._distinct == [{1}] + [set()] * 3
+
+
+def _fault(call, *args):
+    """Call and return the fault raised, as (type, message), or None."""
+    try:
+        call(*args)
+    except (ValueError, LedgerFault) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def repeating_feeds(draw):
+    """``(params, dim, strict, feed)``: responses from a few driver vectors
+    that repeat whole or with one block changed, from a few driver ids;
+    now and then from another rider, or with a payload that is not a
+    multiple of its weight or out of range at some position."""
+    params = BlockParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dim = draw(st.integers(1, 3))
+    strict = draw(st.booleans())
+    vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
+    rider, other = draw(vector), draw(vector)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    feed = []
+    for k in range(draw(st.integers(0, 12))):
+        driver = list(draw(st.sampled_from(pool)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, dim - 1))
+            blocks = list(decompose(driver[i], params))
+            blocks[draw(st.integers(0, params.num_blocks - 1))] = draw(
+                st.integers(0, params.base - 1)
+            )
+            driver[i] = recompose(blocks, params)
+        kind = draw(
+            st.sampled_from(
+                ["honest"] * 6 + ["other rider", "not a multiple", "out of range"]
+            )
+        )
+        matches = honest_matches(
+            params, dim, other if kind == "other rider" else rider, driver
+        )
+        if kind in ("not a multiple", "out of range"):
+            pos = draw(st.sampled_from(sorted(matches)))
+            weight = params.weight(pos[1])
+            if kind == "not a multiple" and weight > 1:
+                matches[pos] += 1
+            else:
+                matches[pos] = params.base * weight
+        feed.append((k % 3, matches))
+    return params, dim, strict, feed
+
+
+class TestWholeResponseSteps:
+    """Filing and feeding skip what was seen; the per-entry references in
+    ``oracles`` check and file every entry of every response."""
+
+    @given(repeating_feeds())
+    def test_filing_equals_the_reference(self, case):
+        params, dim, _, feed = case
+        ledger, reference = DifferenceLedger(params, dim), ReferenceLedger(params, dim)
+        for driver_id, matches in feed:
+            before = [len(seen) for seen in ledger._distinct]
+            changed = []
+            fault = _fault(
+                lambda: changed.extend(ledger.record_matches(driver_id, matches))
+            )
+            assert fault == _fault(reference.file, matches)
+            for slot, pos in enumerate(reference.positions):
+                assert (ledger._lo[slot], ledger._hi[slot]) == reference.bounds(pos)
+                assert ledger._distinct[slot] == set(reference.diffs[pos])
+            if fault is None:
+                # A new pair at a position is a new difference there.
+                grew = [s for s, n in enumerate(before) if len(ledger._distinct[s]) > n]
+                assert sorted(changed) == grew
+
+    @given(repeating_feeds())
+    def test_feed_equals_the_reference_on_every_prefix(self, case):
+        params, dim, strict, feed = case
+        attack = IncrementalAttack(params, dim, strict)
+        reference = ReferenceLedger(params, dim)
+        for driver_id, matches in feed:
+            fault = _fault(attack.feed, driver_id, matches)
+            assert fault == _fault(reference.feed, matches, strict)
+            if fault is not None:
+                break  # a fault ends the attack
+            assert attack.unique_at == reference.unique_at
 
 
 class TestRecoverBlock:
@@ -509,7 +601,7 @@ class TestRunAttack:
             (k, honest_matches(params, dim, table[rider_node], vec))
             for k, vec in enumerate(table)
         ]
-        report = run_attack(params, dim, feed, embedding_table=table)
+        report = run_attack(params, dim, feed, index=embedding_index(table))
         assert report.rider_vector == table[rider_node]
         assert table[report.rider_node] == table[rider_node]
         assert len(report.driver_nodes) == len(table)
@@ -557,7 +649,7 @@ class TestIncrementalAttack:
         dim = 3
         rider, *drivers = random_vectors(params, dim, 41, seed=5)
         table = [vec for vec in drivers if vec != rider]
-        attack = IncrementalAttack(params, dim, embedding_table=table)
+        attack = IncrementalAttack(params, dim, index=embedding_index(table))
         for k, vec in enumerate(drivers):
             attack.feed(k, honest_matches(params, dim, rider, vec))
         assert recover_rider_vector(attack.ledger)[0] == rider

@@ -234,6 +234,26 @@ class TestCollisionWatchdog:
         assert local.evaluations == 5
         assert local.tracked == 1
 
+    @pytest.mark.parametrize("path", ["observe", "file"])
+    def test_counts_every_output_it_stops_certifying(self, monkeypatch, path):
+        monkeypatch.setattr(CollisionWatchdog, "CAPACITY", 5)
+        local = CollisionWatchdog()
+        outputs = [bytes([i]) * 16 for i in range(12)]
+        fingerprints = [bytes([i]) * 8 for i in range(12)]
+        if path == "observe":
+            for output, fp in zip(outputs, fingerprints):
+                local.observe(b"H", fp, output)
+        else:
+            # One batch that fits, one that straddles the capacity, one after.
+            for part in (slice(0, 3), slice(3, 8), slice(8, 12)):
+                local.file(b"H", outputs[part], fingerprints[part])
+        assert local.evaluations == 12
+        assert local.tracked == CollisionWatchdog.CAPACITY == 5
+        assert local.untracked == 12 - 5
+        local.enabled = False
+        local.file(b"F", [b"x" * 16], [b"y" * 8])
+        assert (local.tracked, local.untracked) == (5, 8)
+
     def test_h_and_f_on_one_input_are_one_hmac(self, fresh_watchdog):
         # Both PRFs are plain HMAC-SHA256, so the same (key, message) under
         # H and F is one input with one output, not a collision.

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from oracles import best_driver, decrypt_request
-from ridecrypt.codec import BlockParams, decompose, encode_signed
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import best_driver, decrypt_request, reference_distance, reference_match
+from ridecrypt.codec import BlockParams, decompose, encode_signed, recompose
 from ridecrypt.crypto import (
     encode_message,
     issue_system_keys,
@@ -186,7 +189,12 @@ class TestDriverCodebook:
         assert len(set(outside)) == 3
         with session_memo():
             inside = [driver_encrypt(0, (3, 12), k, c).entries for k, c in runs]
-            assert all(len(session_codebook(run)) == 4 for run in runs)
+            # Each codebook holds a row per position and one pair per row.
+            for run in runs:
+                rows = session_codebook(run)
+                assert tuple(rows) == run[1].labels
+                filled = [sum(pair is not None for pair in row) for row in rows.values()]
+                assert filled == [1] * 4
         assert inside == outside
 
     def test_nothing_survives_the_scope(self, monkeypatch):
@@ -426,6 +434,114 @@ class TestMatchIndex:
         assert len(pairs) <= 3 * 2 * 2**2
         assert len(calls) == 2 * len(pairs)
         assert len(tables) == 3 * 2  # the request is indexed once
+
+
+def _outcome(call, *args):
+    """A call's result, or the fault it raised as (type, message)."""
+    try:
+        return call(*args)
+    except (ValueError, ProtocolFault, PrfCollisionError) as exc:
+        return type(exc), str(exc)
+
+
+#: How a drawn response departs from honest: shuffled or duplicated labels,
+#: a mixed pair, an unknown label, a missing entry, another session.
+FORGERIES = [
+    "shuffled",
+    "duplicated",
+    "mixed",
+    "unknown label",
+    "dropped",
+    "other context",
+    "other context's pairs",
+]
+
+
+@st.composite
+def provider_sessions(draw):
+    """``(ctx, rider, responses)``: drivers from a small pool of vectors that
+    repeat whole or with one block changed, and now and then a forged
+    response made from an honest one."""
+    params = BlockParams(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    dim = draw(st.integers(1, 2))
+    ctx = make_ctx(params.block_bits, params.num_blocks, dim)
+    other = dataclasses.replace(ctx, time_slot=ctx.time_slot + 1)
+    vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
+    rider = draw(vector)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    responses = []
+    for k in range(draw(st.integers(1, 8))):
+        driver = list(draw(st.sampled_from(pool)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, dim - 1))
+            blocks = list(decompose(driver[i], params))
+            blocks[draw(st.integers(0, params.num_blocks - 1))] = draw(
+                st.integers(0, params.base - 1)
+            )
+            driver[i] = recompose(blocks, params)
+        honest = driver_encrypt(k, driver, KEYS, ctx)
+        entries = list(honest.entries)
+        context = ctx
+        forgery = draw(st.sampled_from(["honest"] * len(FORGERIES) + FORGERIES))
+        a = draw(st.integers(0, len(entries) - 1))
+        if forgery == "shuffled":
+            entries = draw(st.permutations(entries))
+        elif forgery == "duplicated":
+            entries.insert(a, entries[draw(st.integers(0, len(entries) - 1))])
+        elif forgery == "mixed":
+            donor = driver_encrypt(k, draw(st.sampled_from(pool)), KEYS, ctx)
+            entries[a] = entries[a]._replace(c2=donor.entries[a].c2)
+        elif forgery == "unknown label":
+            entries[a] = entries[a]._replace(coord=dim)
+        elif forgery == "dropped":
+            del entries[a]
+        elif forgery == "other context":
+            context = other
+        elif forgery == "other context's pairs":
+            entries = list(driver_encrypt(k, driver, KEYS, other).entries)
+        responses.append(DriverResponse(k, context, tuple(entries)))
+    return ctx, rider, responses
+
+
+class TestWholeResponseMatching:
+    """The provider's one-step paths against the per-entry references in
+    ``oracles``: the same maps, distances and first faults."""
+
+    @given(provider_sessions(), st.integers(0, 2**32))
+    def test_match_and_distance_equal_the_reference(self, session, seed):
+        ctx, rider, responses = session
+        sp = ServiceProvider(ctx)
+        with session_memo():
+            request = rider_encrypt(rider, KEYS, ctx, random.Random(seed))
+            for response in responses:
+                got = _outcome(sp.match_response, request, response)
+                assert got == _outcome(reference_match, request, response, ctx)
+                if isinstance(got, dict):
+                    assert list(got) == [e[:2] for e in response.entries]
+                    assert _outcome(sp_compute_distance, got, ctx) == _outcome(
+                        reference_distance, got, ctx
+                    )
+
+    @given(st.data())
+    def test_distance_equals_the_reference(self, data):
+        dim, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        ctx = make_ctx(2, m, dim)
+        labels = [(i, j) for i in range(dim) for j in range(m)]
+        keys = data.draw(
+            st.one_of(
+                st.just(labels),
+                st.permutations(labels),
+                st.lists(
+                    st.tuples(st.integers(-1, dim), st.integers(-1, m)),
+                    unique=True,
+                    max_size=dim * m + 1,
+                ),
+            )
+        )
+        diffs = {key: data.draw(st.integers(-64, 64)) for key in keys}
+        assert _outcome(sp_compute_distance, diffs, ctx) == _outcome(
+            reference_distance, diffs, ctx
+        )
 
 
 class TestDistanceAndSelection:

@@ -38,6 +38,18 @@ def test_traced_names_resolve(perfbench):
         assert callable(getattr(cls, name, None)), f"{layer}.{cls_name}.{name}"
 
 
+def test_record_matches_binds_as_the_tracer_calls_it():
+    # tracer.py's with_entries wraps the method as (self, driver_id, matches)
+    # and counts attack.ledger_entries by len(matches).
+    from ridecrypt.attack import DifferenceLedger
+    from ridecrypt.codec import BlockParams
+
+    ledger = DifferenceLedger(BlockParams(1, 1), 1)
+    matches = {(0, 0): 1}
+    bound = inspect.signature(DifferenceLedger.record_matches).bind(ledger, 3, matches)
+    assert bound.arguments == {"self": ledger, "driver_id": 3, "matches": matches}
+
+
 def test_worker_arguments_fit_the_harness(perfbench):
     import worker
 
