@@ -12,16 +12,17 @@ honest matching.
 
 The ledger is what the provider learns about the rider, and nothing per
 driver. Per position it keeps the running candidate interval, narrowed by
-each difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and the set
-of distinct differences; together they answer "is the rider block pinned?"
-in O(1), and their size is fixed by the position count, however many
-responses were fed. Feeding a response costs at most O(positions), and
-recovering the drivers O(drivers * positions), one pass over each driver's
-matches, so an attack is linear in what it is fed. Filing a (position,
-payload) pair again changes nothing, and honest drivers send at most
-``2**(l+1) - 1`` distinct payloads per position, so each pair is checked
-and filed once: a response whose pairs were all filed before costs one
-subset test, and only the positions a response changed are re-checked.
+each difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and a count
+of the (position, payload) pairs accepted there; a payload is one-to-one
+with its difference at a position, so that is the number of distinct
+differences. They answer "is the rider block pinned?" in O(1). Each pair
+is filed once, and honest drivers send at most ``2**(l+1) - 1`` distinct
+payloads per position, so the ledger's size is bounded by the position
+count, however many responses were fed. A response whose pairs were all
+filed before costs one subset test, and only the positions a response
+changed are re-checked; feeding a response costs at most O(positions),
+and recovering the drivers O(drivers * positions), one pass over each
+driver's matches, so an attack is linear in what it is fed.
 """
 
 from __future__ import annotations
@@ -44,25 +45,16 @@ def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
     (then the point is ``-min(diffs)``), and more generally whenever the
     difference spread reaches ``2**bits - 1``.
     """
-    if not isinstance(diffs, (list, tuple)):
-        diffs = list(diffs)
+    diffs = list(diffs)
     if not diffs:
         raise ValueError("need at least one difference")
-    smallest = largest = diffs[0]
-    for d in diffs:  # one pass for both ends
-        if d < smallest:
-            smallest = d
-        elif d > largest:
-            largest = d
+    smallest, largest = min(diffs), max(diffs)
     top = (1 << block_bits) - 1
     if smallest < -top or largest > top:
         raise ValueError(f"difference out of range for {block_bits}-bit blocks")
-    lo = -smallest if smallest < 0 else 0
-    hi = top - largest if largest > 0 else top
+    lo, hi = max(0, -smallest), min(top, top - largest)
     if lo > hi:
-        raise LedgerFault(
-            f"no block value is consistent with differences {list(diffs)}"
-        )
+        raise LedgerFault(f"no block value is consistent with differences {diffs}")
     return lo, hi
 
 
@@ -81,13 +73,18 @@ class DifferenceLedger:
         size = dim * params.num_blocks
         self._lo = [0] * size
         self._hi = [self._base - 1] * size
-        self._distinct: list[set[int]] = [set() for _ in range(size)]
+        # Pairs accepted per position; a payload is one-to-one with its
+        # difference there, so this counts the distinct differences.
+        self._count = [0] * size
         # Every ((coord, block), payload) pair filed so far.
         self._accepted: set[tuple[tuple[int, int], int]] = set()
+        self._positions = tuple(
+            (i, j) for i in range(dim) for j in range(params.num_blocks)
+        )
 
-    def positions(self) -> list[tuple[int, int]]:
+    def positions(self) -> tuple[tuple[int, int], ...]:
         """Every (coord, block) position, in row-index order."""
-        return [(i, j) for i in range(self.dim) for j in range(self.params.num_blocks)]
+        return self._positions
 
     def _slot(self, coord: int, block_index: int) -> int:
         """Row index of a position; rejects positions outside the ledger."""
@@ -97,10 +94,6 @@ class DifferenceLedger:
             raise ValueError(f"block index {block_index} out of range")
         return coord * self.params.num_blocks + block_index
 
-    def record(self, coord: int, block_index: int, driver_id: int, payload: int) -> None:
-        """File one matched payload: :meth:`record_matches` of one entry."""
-        self.record_matches(driver_id, {(coord, block_index): payload})
-
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
     ) -> list[int]:
@@ -108,9 +101,9 @@ class DifferenceLedger:
         map's order. Each payload must be an exact multiple of its position
         weight and normalize to an in-range difference; the first entry
         that fails raises, after the entries before it were filed. A
-        position's interval and distinct set keep every difference filed
-        there, a repeated driver's too; ``driver_id`` names the responder
-        and is not stored.
+        position's interval narrows by, and its count counts, every new
+        pair filed there, a repeated driver's too; ``driver_id`` names the
+        responder and is not stored.
 
         Filing a (label, payload) pair is idempotent and its checks depend
         on nothing else, so a pair accepted before is skipped: a response
@@ -122,7 +115,7 @@ class DifferenceLedger:
             return []
         dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
         top = self._base - 1
-        lo, hi, distinct = self._lo, self._hi, self._distinct
+        lo, hi, count = self._lo, self._hi, self._count
         changed = []
         for pair in matches.items():
             if pair in accepted:
@@ -148,7 +141,7 @@ class DifferenceLedger:
                 lo[pos] = -d
             if hi[pos] > top - d:
                 hi[pos] = top - d
-            distinct[pos].add(d)
+            count[pos] += 1
             accepted.add(pair)
             changed.append(pos)
         return changed
@@ -172,7 +165,7 @@ class DifferenceLedger:
         that closed to a point.
         """
         if strict:
-            return len(self._distinct[slot]) == self._base
+            return self._count[slot] == self._base
         lo, hi = self._interval_at(slot)
         return lo == hi
 
@@ -327,12 +320,11 @@ class IncrementalAttack:
         self.ledger = DifferenceLedger(params, dim)
         self.strict = strict
         self.responses = 0
-        self.unique_at: dict[tuple[int, int], int | None] = {
-            pos: None for pos in self.ledger.positions()
-        }
-        self._positions = self.ledger.positions()
+        self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(
+            self.ledger.positions()
+        )
         # Row indexes of the positions not yet unique.
-        self._open = set(range(len(self._positions)))
+        self._open = set(range(len(self.unique_at)))
         self._index = index
 
     def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
@@ -345,9 +337,10 @@ class IncrementalAttack:
         changed = self.ledger.record_matches(driver_id, matches)
         self.responses += 1
         unique, strict = self.ledger.slot_is_unique, self.strict
+        positions = self.ledger.positions()
         for slot in sorted(self._open.intersection(changed)):
             if unique(slot, strict):
-                self.unique_at[self._positions[slot]] = self.responses
+                self.unique_at[positions[slot]] = self.responses
                 self._open.remove(slot)
 
     def report(self) -> RecoveryReport:

@@ -229,8 +229,6 @@ def _prf_batch(domain: bytes, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
     if memo is None:
         memo = {}
     todo = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
-    if not todo:
-        return [memo[pair] for pair in pairs]
     outputs, fingerprints = _hmac(todo)
     watchdog.file(domain, outputs, fingerprints)
     memo.update(zip(todo, outputs))

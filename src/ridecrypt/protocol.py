@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .codec import (
-    PAYLOAD_BYTES,
-    BlockParams,
-    decode_signed,
-    decompose,
-)
+from .codec import PAYLOAD_BYTES, BlockParams, decompose
 from .crypto import (
     PRF_OUTPUT_BYTES,
     SystemKeys,
@@ -36,7 +31,6 @@ from .crypto import (
     prf_h,
     prf_h_batch,
     session_codebook,
-    xor_bytes,
 )
 from .errors import ProtocolFault, PrfCollisionError
 
@@ -269,9 +263,13 @@ def _unmask(
             f"{len(hits)} rider entries matched one driver ciphertext at "
             f"position ({group.coord}, {group.block_index})"
         )
-    masked, pad = hits[0], prf_f(entry.c2, group.nonce)
-    if len(masked) != PAYLOAD_BYTES:  # a malformed rider entry faults here
-        return decode_signed(xor_bytes(masked, pad[:PAYLOAD_BYTES]))
+    masked = hits[0]
+    if len(masked) != PAYLOAD_BYTES:
+        raise ProtocolFault(
+            f"rider entry at ({group.coord}, {group.block_index}) has a "
+            f"{len(masked)}-byte payload, not {PAYLOAD_BYTES}"
+        )
+    pad = prf_f(entry.c2, group.nonce)
     # As in rider_encrypt, the pad is the low 64 bits of the output's
     # little-endian value; the payload is their XOR in two's complement.
     value = int.from_bytes(masked, "little") ^ int.from_bytes(pad, "little")
@@ -282,8 +280,9 @@ def sp_match_block(group: RiderBlockGroup, entry: DriverEntry) -> int | None:
     """Try a driver pair against one rider group.
 
     Returns the unmasked signed payload on the unique equality-token hit,
-    ``None`` if nothing matches (the pair belongs to another position), and
-    raises :class:`PrfCollisionError` on more than one hit.
+    ``None`` if nothing matches (the pair belongs to another position),
+    raises :class:`PrfCollisionError` on more than one hit and
+    :class:`ProtocolFault` on a hit whose masked payload is malformed.
     """
     return _unmask(group, _token_table(group), entry)
 

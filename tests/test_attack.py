@@ -40,51 +40,61 @@ def honest_matches(params, dim, rider_vector, driver_vector):
     return out
 
 
+def differences(ledger):
+    """Each position's set of differences, in row-index order, read back
+    from the ledger's accepted pairs."""
+    seen = [set() for _ in ledger.positions()]
+    for (coord, block_index), payload in ledger._accepted:
+        slot = coord * ledger.params.num_blocks + block_index
+        seen[slot].add(payload // ledger.params.weight(block_index))
+    return seen
+
+
 class TestLedgerRecord:
     def test_normalizes_by_weight(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
-        ledger.record(0, 1, driver_id=0, payload=8)
-        assert ledger._distinct == [set(), {2}]
+        ledger.record_matches(0, {(0, 1): 8})
+        assert differences(ledger) == [set(), {2}]
         assert ledger.interval(0, 1) == (0, 1)
 
     def test_zero_payload(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
-        ledger.record(0, 0, driver_id=0, payload=0)
-        assert ledger._distinct == [{0}, set()]
+        ledger.record_matches(0, {(0, 0): 0})
+        assert differences(ledger) == [{0}, set()]
         assert ledger.interval(0, 0) == (0, 3)
 
     def test_non_divisible_payload_faults(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         with pytest.raises(LedgerFault):
-            ledger.record(0, 1, driver_id=0, payload=6)
+            ledger.record_matches(0, {(0, 1): 6})
 
     def test_out_of_range_difference_faults(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         with pytest.raises(LedgerFault):
-            ledger.record(0, 0, driver_id=0, payload=4)
+            ledger.record_matches(0, {(0, 0): 4})
 
     def test_unknown_coordinate(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         with pytest.raises(ValueError):
-            ledger.record(1, 0, driver_id=0, payload=0)
+            ledger.record_matches(0, {(1, 0): 0})
 
     def test_unknown_block_index(self):
         ledger = DifferenceLedger(BlockParams(2, 2), 1)
         with pytest.raises(ValueError):
-            ledger.record(0, 2, driver_id=0, payload=0)
+            ledger.record_matches(0, {(0, 2): 0})
         with pytest.raises(ValueError):
             ledger.interval(0, 2)
 
     def test_repeated_driver_keeps_every_difference(self):
         ledger = DifferenceLedger(BlockParams(2, 1), 1)
-        ledger.record(0, 0, driver_id=4, payload=1)
-        ledger.record(0, 0, driver_id=2, payload=-1)
-        ledger.record(0, 0, driver_id=4, payload=3)
+        ledger.record_matches(4, {(0, 0): 1})
+        ledger.record_matches(2, {(0, 0): -1})
+        ledger.record_matches(4, {(0, 0): 3})
         # The position keeps every difference: 1, -1 and 3 leave no block
         # value for 2-bit blocks.
         with pytest.raises(LedgerFault):
             ledger.interval(0, 0)
-        assert ledger._distinct == [{1, -1, 3}]
+        assert differences(ledger) == [{1, -1, 3}]
 
     def test_holds_nothing_per_driver(self):
         params, dim = BlockParams(2, 3), 4
@@ -105,25 +115,28 @@ class TestLedgerRecord:
         # 1,000 driver ids later, no container has appeared, and only the
         # accepted pairs grew: one per distinct difference at a position.
         after = sizes()
+        assert set(after) == {"_weights", "_lo", "_hi", "_count", "_accepted", "_positions"}
         accepted = after.pop("_accepted")
         del before["_accepted"]
         assert after == before
         positions = dim * params.num_blocks
-        assert accepted == sum(map(len, ledger._distinct))
+        assert accepted == sum(ledger._count)
+        assert ledger._count == [len(seen) for seen in differences(ledger)]
         assert accepted <= positions * (2 * params.base - 1)
-        for container in (ledger._lo, ledger._hi, ledger._distinct, attack.unique_at):
+        for container in (ledger._lo, ledger._hi, ledger._count, attack.unique_at):
             assert len(container) == positions
-        assert all(len(seen) < 2 * params.base for seen in ledger._distinct)
+        assert all(count < 2 * params.base for count in ledger._count)
 
 
 def _file(ledger, method, driver_id, matches):
-    """File ``matches`` and return the fault raised, as (type, message)."""
+    """File ``matches`` whole or one entry per call, and return the fault
+    raised, as (type, message)."""
     try:
         if method == "matches":
             ledger.record_matches(driver_id, matches)
         else:
-            for (coord, block_index), payload in matches.items():
-                ledger.record(coord, block_index, driver_id, payload)
+            for pos, payload in matches.items():
+                ledger.record_matches(driver_id, {pos: payload})
     except (ValueError, LedgerFault) as exc:
         return type(exc), str(exc)
     return None
@@ -166,6 +179,8 @@ def attack_feeds(draw):
 
 
 class TestRecordMatchesEqualsRecord:
+    """A whole map filed in one call against its entries filed one by one."""
+
     @given(st.data())
     def test_same_state_and_faults(self, data):
         params = BlockParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
@@ -176,11 +191,12 @@ class TestRecordMatchesEqualsRecord:
             driver_id = data.draw(st.integers(0, 2))
             matches = data.draw(payload_maps(params, dim))
             assert _file(batched, "matches", driver_id, matches) == _file(
-                single, "record", driver_id, matches
+                single, "entries", driver_id, matches
             )
             assert batched._lo == single._lo
             assert batched._hi == single._hi
-            assert batched._distinct == single._distinct
+            assert batched._count == single._count
+            assert differences(batched) == differences(single)
 
     def test_each_fault_matches(self):
         params = BlockParams(2, 2)
@@ -194,12 +210,13 @@ class TestRecordMatchesEqualsRecord:
             ledgers = [DifferenceLedger(params, 2) for _ in range(2)]
             faults = [
                 _file(ledger, method, 5, matches)
-                for ledger, method in zip(ledgers, ("matches", "record"))
+                for ledger, method in zip(ledgers, ("matches", "entries"))
             ]
             assert faults[0] == faults[1]
             assert faults[0][0] is kind and message in faults[0][1]
             # The entry before the fault was filed by both.
-            assert ledgers[0]._distinct == ledgers[1]._distinct == [{1}] + [set()] * 3
+            expected = [{1}] + [set()] * 3
+            assert differences(ledgers[0]) == differences(ledgers[1]) == expected
 
 
 def _fault(call, *args):
@@ -261,18 +278,20 @@ class TestWholeResponseSteps:
         params, dim, _, feed = case
         ledger, reference = DifferenceLedger(params, dim), ReferenceLedger(params, dim)
         for driver_id, matches in feed:
-            before = [len(seen) for seen in ledger._distinct]
+            before = [len(seen) for seen in differences(ledger)]
             changed = []
             fault = _fault(
                 lambda: changed.extend(ledger.record_matches(driver_id, matches))
             )
             assert fault == _fault(reference.file, matches)
+            filed = differences(ledger)
             for slot, pos in enumerate(reference.positions):
                 assert (ledger._lo[slot], ledger._hi[slot]) == reference.bounds(pos)
-                assert ledger._distinct[slot] == set(reference.diffs[pos])
+                assert filed[slot] == set(reference.diffs[pos])
+                assert ledger._count[slot] == len(filed[slot])
             if fault is None:
                 # A new pair at a position is a new difference there.
-                grew = [s for s, n in enumerate(before) if len(ledger._distinct[s]) > n]
+                grew = [s for s, n in enumerate(before) if len(filed[s]) > n]
                 assert sorted(changed) == grew
 
     @given(repeating_feeds())
@@ -359,7 +378,7 @@ class TestRecoverBlock:
         assert not ledger.is_unique(0, j, strict=True)
         diffs = []
         for driver_id, d in feed:
-            ledger.record(0, j, driver_id, d * params.weight(j))
+            ledger.record_matches(driver_id, {(0, j): d * params.weight(j)})
             diffs.append(d)
             assert ledger.is_unique(0, j, strict=True) == (
                 len(set(diffs)) == params.base
@@ -409,8 +428,8 @@ class TestRecoverRiderVector:
         ledger = DifferenceLedger(params, 1)
         # Differences -1 and 2 pin the block to 1 by interval arithmetic,
         # but only two of four values were observed.
-        ledger.record(0, 0, driver_id=0, payload=-1)
-        ledger.record(0, 0, driver_id=1, payload=2)
+        ledger.record_matches(0, {(0, 0): -1})
+        ledger.record_matches(1, {(0, 0): 2})
         relaxed, _ = recover_rider_vector(ledger, strict=False)
         strict, _ = recover_rider_vector(ledger, strict=True)
         assert relaxed == (1,)

@@ -352,6 +352,39 @@ class TestMatchIndex:
         with pytest.raises(ProtocolFault, match="matched no rider entry"):
             match_all(request, forged)
 
+    def test_malformed_rider_entry_is_a_fault(self):
+        # Every masked payload of group (0, 1) cut to 5 bytes: the honest
+        # pair there matches its token, and the fault names the position.
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        groups = list(request.groups)
+        k, group = next(
+            (k, g) for k, g in enumerate(groups) if (g.coord, g.block_index) == (0, 1)
+        )
+        cut = tuple(e._replace(c2=e.c2[:5]) for e in group.entries)
+        groups[k] = dataclasses.replace(group, entries=cut)
+        forged = RiderRequest(ctx, tuple(groups))
+        for _ in range(2):  # a malformed entry is never cached
+            with pytest.raises(ProtocolFault, match=r"\(0, 1\) has a 5-byte payload"):
+                match_all(forged, response)
+
+    def test_unhashable_entry_raises_the_first_fault(self):
+        # The unknown label comes first, so its fault wins over the
+        # bytearray after it, as in the per-entry reference.
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        first, second = response.entries[:2]
+        forged = DriverResponse(
+            0,
+            ctx,
+            (first._replace(coord=7), second._replace(c1=bytearray(second.c1)))
+            + response.entries[2:],
+        )
+        with pytest.raises(ProtocolFault, match=r"\(7, 0\) has no rider group"):
+            match_all(request, forged)
+        with pytest.raises(ProtocolFault, match=r"\(7, 0\) has no rider group"):
+            reference_match(request, forged, ctx)
+
     def test_duplicate_driver_label_is_a_fault(self):
         ctx = make_ctx()
         request, response = self._honest(ctx)
