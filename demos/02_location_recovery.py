@@ -13,7 +13,7 @@ from random import Random
 
 from ridecrypt import (
     BlockParams,
-    IncrementalAttack,
+    DifferenceLedger,
     RideContext,
     ServiceProvider,
     driver_encrypt,
@@ -50,21 +50,24 @@ for k, node in enumerate(driver_nodes):
 print(f"{NUM_DRIVERS} drivers responded; the matching party now holds "
       f"{NUM_DRIVERS * ctx.total_blocks} signed block differences.\n")
 
-# Watch one position's candidate interval shrink as responses arrive.
+# One ledger, built with its uniqueness rule (here the default: the
+# interval closed to a point), files each response as it arrives. Watch
+# one position's candidate interval shrink.
 probe = (0, 0)
 print(f"candidate interval for position {probe} after each response:")
-attack = IncrementalAttack(params, net.dim)
+ledger = DifferenceLedger(params, net.dim)
 for upto, (k, matches) in enumerate(matched, start=1):
-    attack.feed(k, matches)
-    lo, hi = attack.report().candidates[probe]
+    ledger.record_matches(k, matches)
+    lo, hi = ledger.interval(*probe)
     print(f"  {upto:>2} responses: [{lo}, {hi}]"
           + ("  <- unique" if lo == hi else ""))
     if lo == hi:
         break
 
 report = run_attack(params, net.dim, matched, index=embedding_index(table))
-print(f"\nblocks pinned: {report.blocks_recovered}/{report.blocks_total}")
-slowest = max((at for at in report.unique_at.values() if at), default=None)
+pinned = [at for at in report.unique_at.values() if at is not None]
+print(f"\nblocks pinned: {len(pinned)}/{len(report.unique_at)}")
+slowest = max(pinned, default=None)
 if slowest is not None and report.rider_vector is not None:
     print(f"every position was unique after {slowest} responses")
 

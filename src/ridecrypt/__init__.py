@@ -9,7 +9,6 @@ embeds nodes, ``codec`` handles block decomposition and payload bytes,
 
 from .attack import (
     DifferenceLedger,
-    IncrementalAttack,
     RecoveryReport,
     deanonymize,
     embedding_index,

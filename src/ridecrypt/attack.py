@@ -10,19 +10,23 @@ follows from that driver's own response by adding its difference back. No
 extra protocol messages are needed; the input here is exactly the output of
 honest matching.
 
-The ledger is what the provider learns about the rider, and nothing per
-driver. Per position it keeps the running candidate interval, narrowed by
-each difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and a count
-of the (position, payload) pairs accepted there; a payload is one-to-one
-with its difference at a position, so that is the number of distinct
-differences. They answer "is the rider block pinned?" in O(1). Each pair
-is filed once, and honest drivers send at most ``2**(l+1) - 1`` distinct
-payloads per position, so the ledger's size is bounded by the position
-count, however many responses were fed. A response whose pairs were all
-filed before costs one subset test, and only the positions a response
-changed are re-checked; feeding a response costs at most O(positions),
-and recovering the drivers O(drivers * positions), one pass over each
-driver's matches, so an attack is linear in what it is fed.
+One tracker, :class:`DifferenceLedger`, holds what the provider learns
+about the rider, and nothing per driver. It is built with its uniqueness
+rule, files each matched response with ``record_matches``, notes after how
+many responses each position's rider block became unique, and produces a
+:class:`RecoveryReport` with ``report``. Per position it keeps the running
+candidate interval, narrowed by each difference ``d`` to
+``[max(lo, -d), min(hi, top - d)]``, and a count of the (position,
+payload) pairs accepted there; a payload is one-to-one with its difference
+at a position, so that is the number of distinct differences. They answer
+"is the rider block pinned?" in O(1). Each pair is filed once, and honest
+drivers send at most ``2**(l+1) - 1`` distinct payloads per position, so
+the ledger's size is bounded by the position count, however many
+responses were filed. A response whose pairs were all filed before costs
+one subset test, and only the open positions a response changed are
+re-checked; filing a response costs at most O(positions), and recovering
+the drivers O(drivers * positions), one pass over each driver's matches,
+so an attack is linear in what it is fed.
 """
 
 from __future__ import annotations
@@ -59,15 +63,25 @@ def recover_block(diffs: Iterable[int], block_bits: int) -> tuple[int, int]:
 
 
 class DifferenceLedger:
-    """The service provider's collection of signed block differences across
-    responding drivers, by position. Single writer per session; recovery
-    functions only read it."""
+    """The service provider's knowledge of the rider, built up from the
+    signed block differences of every matched response, by position.
 
-    def __init__(self, params: BlockParams, dim: int) -> None:
+    The uniqueness rule is fixed when the ledger is built: ``strict``
+    requires differences to all ``2**bits`` values, the criterion under
+    which the expected-responder counts are computed, and never reads the
+    interval; the default accepts any interval that closed to a point.
+    ``unique_at`` records, per position, after how many responses the
+    rider block became unique under that rule. Uniqueness never reverts
+    as differences accumulate, so each response re-checks only the
+    positions still open. Single writer per session."""
+
+    def __init__(self, params: BlockParams, dim: int, strict: bool = False) -> None:
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.params = params
         self.dim = dim
+        self.strict = strict
+        self.responses = 0
         self._base = params.base
         self._weights = tuple(params.weight(j) for j in range(params.num_blocks))
         size = dim * params.num_blocks
@@ -81,10 +95,11 @@ class DifferenceLedger:
         self._positions = tuple(
             (i, j) for i in range(dim) for j in range(params.num_blocks)
         )
-
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        """Every (coord, block) position, in row-index order."""
-        return self._positions
+        self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(
+            self._positions
+        )
+        # Row indexes of the positions not yet unique.
+        self._open = set(range(size))
 
     def _slot(self, coord: int, block_index: int) -> int:
         """Row index of a position; rejects positions outside the ledger."""
@@ -96,23 +111,30 @@ class DifferenceLedger:
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
-    ) -> list[int]:
-        """File a whole ``ServiceProvider.match_response`` output, in the
-        map's order. Each payload must be an exact multiple of its position
-        weight and normalize to an in-range difference; the first entry
-        that fails raises, after the entries before it were filed. A
-        position's interval narrows by, and its count counts, every new
+    ) -> None:
+        """File one driver's ``ServiceProvider.match_response`` output, in
+        the map's order, count the response, then re-check in position
+        order, by :meth:`slot_is_unique`, the open positions it changed.
+
+        Each payload must be an exact multiple of its position weight and
+        normalize to an in-range difference; the first entry that fails
+        raises, after the entries before it were filed, and the response
+        is not counted. In the default mode the first empty interval
+        among the re-checked positions faults. A fault ends the attack: a
+        position that the faulting response changed may stay unchecked.
+        A position's interval narrows by, and its count counts, every new
         pair filed there, a repeated driver's too; ``driver_id`` names the
         responder and is not stored.
 
         Filing a (label, payload) pair is idempotent and its checks depend
         on nothing else, so a pair accepted before is skipped: a response
-        whose pairs were all seen costs one subset test, and the pairs
-        kept number at most ``2**(l+1) - 1`` per position. Returns the row
-        indexes of the positions that a new pair reached, in map order."""
+        whose pairs were all seen costs one subset test and changes no
+        position, and the pairs kept number at most ``2**(l+1) - 1`` per
+        position."""
         accepted = self._accepted
         if accepted.issuperset(matches.items()):
-            return []
+            self.responses += 1
+            return
         dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
         top = self._base - 1
         lo, hi, count = self._lo, self._hi, self._count
@@ -144,7 +166,11 @@ class DifferenceLedger:
             count[pos] += 1
             accepted.add(pair)
             changed.append(pos)
-        return changed
+        self.responses += 1
+        for slot in sorted(self._open.intersection(changed)):
+            if self.slot_is_unique(slot):
+                self.unique_at[self._positions[slot]] = self.responses
+                self._open.remove(slot)
 
     def _interval_at(self, slot: int) -> tuple[int, int]:
         """Candidate interval at a row index; raises :class:`LedgerFault`
@@ -155,16 +181,10 @@ class DifferenceLedger:
             raise LedgerFault(f"no block value is consistent at ({i}, {j})")
         return lo, hi
 
-    def slot_is_unique(self, slot: int, strict: bool = False) -> bool:
-        """Whether the rider block at a row index is pinned down: the one
-        uniqueness rule.
-
-        Strict mode requires differences to all ``2**bits`` values, the
-        criterion under which the expected-responder counts are computed,
-        and never reads the interval; the default accepts any interval
-        that closed to a point.
-        """
-        if strict:
+    def slot_is_unique(self, slot: int) -> bool:
+        """Whether the rider block at a row index is pinned down under the
+        ledger's rule: the one uniqueness test."""
+        if self.strict:
             return self._count[slot] == self._base
         lo, hi = self._interval_at(slot)
         return lo == hi
@@ -173,26 +193,40 @@ class DifferenceLedger:
         """Current candidate interval; the full range if nothing was seen."""
         return self._interval_at(self._slot(coord, block_index))
 
-    def is_unique(self, coord: int, block_index: int, strict: bool = False) -> bool:
+    def is_unique(self, coord: int, block_index: int) -> bool:
         """Whether this position's rider block is pinned down, by
         :meth:`slot_is_unique`."""
-        return self.slot_is_unique(self._slot(coord, block_index), strict)
+        return self.slot_is_unique(self._slot(coord, block_index))
+
+    def report(
+        self, index: Mapping[RneVector, tuple[int, int]] | None = None
+    ) -> RecoveryReport:
+        """The rider's recovery from the responses filed so far. With
+        ``index``, the :func:`embedding_index` of the network's embedding
+        table, a report that recovers the rider also names the rider's
+        node through :func:`deanonymize`. Drivers are not tracked:
+        :func:`run_attack` recovers them from their responses."""
+        rider_vector, candidates = recover_rider_vector(self)
+        report = RecoveryReport(candidates, dict(self.unique_at), rider_vector)
+        if rider_vector is not None and index is not None:
+            report.rider_node, report.rider_ambiguity = deanonymize(rider_vector, index)
+        return report
 
 
 def recover_rider_vector(
-    ledger: DifferenceLedger, strict: bool = False
+    ledger: DifferenceLedger,
 ) -> tuple[RneVector | None, dict[tuple[int, int], tuple[int, int]]]:
-    """Recover the rider's embedding vector if every position is unique.
+    """Recover the rider's embedding vector once every position is unique
+    under the ledger's rule.
 
     Returns ``(vector, candidates)``; the vector is ``None`` while any
-    position is still ambiguous, the candidate intervals are always
-    reported.
+    position is still open, the candidate intervals are always reported.
     """
-    # Every interval is read, in position order, before any uniqueness
-    # test, so the first inconsistent position is the one that faults. A
+    # Every interval is read, in position order, before the vector is
+    # built, so the first inconsistent position is the one that faults. A
     # unique position's interval is the single point ``(block, block)``.
-    candidates = {pos: ledger.interval(*pos) for pos in ledger.positions()}
-    if not all(ledger.is_unique(*pos, strict=strict) for pos in candidates):
+    candidates = {pos: ledger.interval(*pos) for pos in ledger.unique_at}
+    if None in ledger.unique_at.values():
         return None, candidates
     vector = tuple(
         recompose(
@@ -285,8 +319,6 @@ def deanonymize(
 class RecoveryReport:
     """Outcome of one attack run over a session's matched responses."""
 
-    blocks_total: int
-    blocks_recovered: int
     candidates: dict[tuple[int, int], tuple[int, int]]
     unique_at: dict[tuple[int, int], int | None]
     rider_vector: RneVector | None
@@ -294,70 +326,6 @@ class RecoveryReport:
     rider_node: int | None = None
     rider_ambiguity: int | None = None
     driver_nodes: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-
-class IncrementalAttack:
-    """The rider's recovery as responses arrive: :meth:`feed` files one
-    matched response, :meth:`report` recovers the rider as far as the
-    responses so far reveal it.
-
-    ``unique_at`` records, per position, after how many responses the rider
-    block became unique under the chosen mode. Uniqueness never reverts as
-    differences accumulate, so each response re-checks only the positions
-    still open. With ``index``, the :func:`embedding_index` of the
-    network's embedding table, a report that recovers the rider also names
-    the rider's node through :func:`deanonymize`. Drivers are
-    not tracked: :func:`run_attack` recovers them from their responses.
-    """
-
-    def __init__(
-        self,
-        params: BlockParams,
-        dim: int,
-        strict: bool = False,
-        index: Mapping[RneVector, tuple[int, int]] | None = None,
-    ) -> None:
-        self.ledger = DifferenceLedger(params, dim)
-        self.strict = strict
-        self.responses = 0
-        self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(
-            self.ledger.positions()
-        )
-        # Row indexes of the positions not yet unique.
-        self._open = set(range(len(self.unique_at)))
-        self._index = index
-
-    def feed(self, driver_id: int, matches: Mapping[tuple[int, int], int]) -> None:
-        """File one driver's ``ServiceProvider.match_response`` output and
-        re-check, in position order, the open positions it changed, by
-        :meth:`DifferenceLedger.slot_is_unique`; in the default mode the
-        first empty interval faults. A position the response left alone
-        keeps the answer it had. A fault ends the attack: a position that
-        the faulting response changed may stay unchecked."""
-        changed = self.ledger.record_matches(driver_id, matches)
-        self.responses += 1
-        unique, strict = self.ledger.slot_is_unique, self.strict
-        positions = self.ledger.positions()
-        for slot in sorted(self._open.intersection(changed)):
-            if unique(slot, strict):
-                self.unique_at[positions[slot]] = self.responses
-                self._open.remove(slot)
-
-    def report(self) -> RecoveryReport:
-        """The rider's recovery from the responses fed so far."""
-        rider_vector, candidates = recover_rider_vector(self.ledger, strict=self.strict)
-        report = RecoveryReport(
-            blocks_total=len(self.unique_at),
-            blocks_recovered=len(self.unique_at) - len(self._open),
-            candidates=candidates,
-            unique_at=dict(self.unique_at),
-            rider_vector=rider_vector,
-        )
-        if rider_vector is not None and self._index is not None:
-            report.rider_node, report.rider_ambiguity = deanonymize(
-                rider_vector, self._index
-            )
-        return report
 
 
 def run_attack(
@@ -368,7 +336,7 @@ def run_attack(
     index: Mapping[RneVector, tuple[int, int]] | None = None,
 ) -> RecoveryReport:
     """Run the full recovery over matched responses, in arrival order: the
-    rider by :class:`IncrementalAttack`, then, once the rider is known,
+    rider by one :class:`DifferenceLedger`, then, once the rider is known,
     every driver by :func:`recover_driver_vectors` and, with ``index``
     from :func:`embedding_index`, each driver's node.
 
@@ -376,10 +344,10 @@ def run_attack(
     being the output of ``ServiceProvider.match_response``: precisely the
     data the matching party produces while doing its legitimate job.
     """
-    attack = IncrementalAttack(params, dim, strict, index)
+    ledger = DifferenceLedger(params, dim, strict)
     for driver_id, matches in matched_responses:
-        attack.feed(driver_id, matches)
-    report = attack.report()
+        ledger.record_matches(driver_id, matches)
+    report = ledger.report(index)
     if report.rider_vector is not None:
         report.driver_vectors = recover_driver_vectors(
             params, report.rider_vector, matched_responses

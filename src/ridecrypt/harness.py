@@ -22,7 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .attack import IncrementalAttack, RecoveryReport, embedding_index, run_attack
+from .attack import DifferenceLedger, RecoveryReport, embedding_index, run_attack
 from .codec import BlockParams, decompose
 from .crypto import (
     MAX_DIM,
@@ -384,8 +384,8 @@ def _recovery_fields(
     (merged requests)."""
     true_blocks = [decompose(coordinate, params) for coordinate in rider_vector]
     return {
-        "blocks_total": report.blocks_total,
-        "blocks_recovered": report.blocks_recovered,
+        "blocks_total": len(report.unique_at),
+        "blocks_recovered": sum(at is not None for at in report.unique_at.values()),
         "rider_vector_recovered": report.rider_vector is not None,
         "rider_vector_exact": (
             None
@@ -435,11 +435,11 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     def random_node(*path) -> int:
         return Random(derive_seed(seed, *path)).randrange(net.num_nodes)
 
-    # With merged requests the rider is fixed and one attack is fed every
+    # With merged requests the rider is fixed and one ledger files every
     # session's responses, reporting on the rider after each session.
     merged = fixed_rider = None
     if config.merge_requests:
-        merged = IncrementalAttack(params, dim, config.strict_lemma, index)
+        merged = DifferenceLedger(params, dim, config.strict_lemma)
         fixed_rider = random_node("rider-node")
 
     @_naming_session
@@ -477,8 +477,8 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
         if merged:
             for k, matches in matched:
-                merged.feed(k, matches)
-            report = merged.report()
+                merged.record_matches(k, matches)
+            report = merged.report(index)
         else:
             report = run_attack(params, dim, matched, config.strict_lemma, index)
         record.update(

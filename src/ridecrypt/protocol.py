@@ -97,11 +97,18 @@ class RiderRequest:
     @cached_property
     def _match_index(self) -> _MatchIndex:
         """The matching party's index of this request, built on first use
-        and dropped with the request. A repeated group label is a fault,
-        raised again on every use."""
+        and dropped with the request. A repeated group label, and then a
+        label outside the context's positions, is a fault, raised again on
+        every use."""
         groups = {(g.coord, g.block_index): g for g in self.groups}
         if len(groups) != len(self.groups):
             raise ProtocolFault("rider request repeats a (coord, block) group")
+        positions = set(self.context.labels)
+        for label in groups:
+            if label not in positions:
+                raise ProtocolFault(
+                    f"rider group at {label} is outside the session's positions"
+                )
         return _MatchIndex(
             {label: (g, _token_table(g)) for label, g in groups.items()}, {}
         )

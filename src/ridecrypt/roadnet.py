@@ -115,14 +115,6 @@ class RoadNetwork:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def shortest_path_distance(self, u: int, v: int) -> int:
-        if not 0 <= v < self.num_nodes:
-            raise ValueError(f"unknown node {v}")
-        d = self.distances_from([u])[v]
-        if d == _UNREACHED:
-            raise ValueError(f"no path between {u} and {v}")
-        return d
-
     def embedding_table(self) -> tuple[RneVector, ...]:
         """Embeddings of every node, built once and cached."""
         if self._embedding is None:
@@ -132,11 +124,6 @@ class RoadNetwork:
                 for node in range(self.num_nodes)
             )
         return self._embedding
-
-    def embed(self, node: int) -> RneVector:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"unknown node {node}")
-        return self.embedding_table()[node]
 
     def diameter(self) -> int:
         """Largest shortest-path distance over all node pairs, computed once

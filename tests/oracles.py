@@ -79,6 +79,12 @@ def reference_match(request, response, context) -> dict[tuple[int, int], int]:
         if label in groups:
             raise ProtocolFault("rider request repeats a (coord, block) group")
         groups[label] = group
+    coords, blocks = range(context.dim), range(context.params.num_blocks)
+    for coord, block_index in groups:
+        if coord not in coords or block_index not in blocks:
+            raise ProtocolFault(
+                f"rider group at {(coord, block_index)} is outside the session's positions"
+            )
     diffs = {}
     for entry in response.entries:
         label = (entry.coord, entry.block_index)
@@ -96,6 +102,11 @@ def reference_match(request, response, context) -> dict[tuple[int, int], int]:
             )
         if not hits:
             raise ProtocolFault(f"driver ciphertext at {label} matched no rider entry")
+        if len(hits[0]) != PAYLOAD_BYTES:
+            raise ProtocolFault(
+                f"rider entry at {label} has a {len(hits[0])}-byte payload, "
+                f"not {PAYLOAD_BYTES}"
+            )
         pad = prf_f(entry.c2, group.nonce)[:PAYLOAD_BYTES]
         diffs[label] = decode_signed(xor_bytes(hits[0], pad))
     total = context.dim * context.params.num_blocks
@@ -152,8 +163,8 @@ class ReferenceLedger:
         return lo, min([self.top] + [self.top - d for d in diffs])
 
     def feed(self, matches, strict: bool) -> None:
-        """``IncrementalAttack.feed``: file, then test every position not
-        yet unique, in position order."""
+        """``DifferenceLedger.record_matches`` under a rule: file, then test
+        every position not yet unique, in position order."""
         self.file(matches)
         self.responses += 1
         for pos in self.positions:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import ReferenceLedger, feasible_blocks, reference_attack
 from ridecrypt.attack import (
     DifferenceLedger,
-    IncrementalAttack,
     deanonymize,
     embedding_index,
     recover_block,
@@ -43,7 +42,7 @@ def honest_matches(params, dim, rider_vector, driver_vector):
 def differences(ledger):
     """Each position's set of differences, in row-index order, read back
     from the ledger's accepted pairs."""
-    seen = [set() for _ in ledger.positions()]
+    seen = [set() for _ in ledger.unique_at]
     for (coord, block_index), payload in ledger._accepted:
         slot = coord * ledger.params.num_blocks + block_index
         seen[slot].add(payload // ledger.params.weight(block_index))
@@ -89,17 +88,17 @@ class TestLedgerRecord:
         ledger = DifferenceLedger(BlockParams(2, 1), 1)
         ledger.record_matches(4, {(0, 0): 1})
         ledger.record_matches(2, {(0, 0): -1})
-        ledger.record_matches(4, {(0, 0): 3})
         # The position keeps every difference: 1, -1 and 3 leave no block
-        # value for 2-bit blocks.
+        # value for 2-bit blocks, and the re-check after filing says so.
+        with pytest.raises(LedgerFault, match=re.escape("consistent at (0, 0)")):
+            ledger.record_matches(4, {(0, 0): 3})
         with pytest.raises(LedgerFault):
             ledger.interval(0, 0)
         assert differences(ledger) == [{1, -1, 3}]
 
     def test_holds_nothing_per_driver(self):
         params, dim = BlockParams(2, 3), 4
-        attack = IncrementalAttack(params, dim)
-        ledger = attack.ledger
+        ledger = DifferenceLedger(params, dim)
 
         def sizes():
             return {
@@ -111,19 +110,25 @@ class TestLedgerRecord:
         before = sizes()
         rider, *drivers = random_vectors(params, dim, 1001, seed=3)
         for k, vec in enumerate(drivers):
-            attack.feed(k, honest_matches(params, dim, rider, vec))
-        # 1,000 driver ids later, no container has appeared, and only the
-        # accepted pairs grew: one per distinct difference at a position.
+            ledger.record_matches(k, honest_matches(params, dim, rider, vec))
+        # 1,000 driver ids later, no container has appeared, only the
+        # accepted pairs grew, one per distinct difference at a position,
+        # and the open positions shrank.
         after = sizes()
-        assert set(after) == {"_weights", "_lo", "_hi", "_count", "_accepted", "_positions"}
+        assert set(after) == {
+            "_weights", "_lo", "_hi", "_count", "_accepted", "_positions",
+            "unique_at", "_open",
+        }
         accepted = after.pop("_accepted")
         del before["_accepted"]
+        assert after.pop("_open") == list(ledger.unique_at.values()).count(None)
+        assert before.pop("_open") == len(ledger.unique_at)
         assert after == before
         positions = dim * params.num_blocks
         assert accepted == sum(ledger._count)
         assert ledger._count == [len(seen) for seen in differences(ledger)]
         assert accepted <= positions * (2 * params.base - 1)
-        for container in (ledger._lo, ledger._hi, ledger._count, attack.unique_at):
+        for container in (ledger._lo, ledger._hi, ledger._count, ledger.unique_at):
             assert len(container) == positions
         assert all(count < 2 * params.base for count in ledger._count)
 
@@ -179,14 +184,15 @@ def attack_feeds(draw):
 
 
 class TestRecordMatchesEqualsRecord:
-    """A whole map filed in one call against its entries filed one by one."""
+    """A whole map filed in one call against its entries filed one by one.
+    Strict ledgers never read the interval, so only a bad entry faults."""
 
     @given(st.data())
     def test_same_state_and_faults(self, data):
         params = BlockParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
         dim = data.draw(st.integers(1, 3))
-        batched = DifferenceLedger(params, dim)
-        single = DifferenceLedger(params, dim)
+        batched = DifferenceLedger(params, dim, strict=True)
+        single = DifferenceLedger(params, dim, strict=True)
         for _ in range(data.draw(st.integers(1, 4))):
             driver_id = data.draw(st.integers(0, 2))
             matches = data.draw(payload_maps(params, dim))
@@ -270,41 +276,38 @@ def repeating_feeds(draw):
 
 
 class TestWholeResponseSteps:
-    """Filing and feeding skip what was seen; the per-entry references in
-    ``oracles`` check and file every entry of every response."""
+    """Filing skips what was seen and re-checks only the open positions a
+    response changed; the per-entry references in ``oracles`` check and
+    file every entry of every response and re-check every open position."""
 
     @given(repeating_feeds())
     def test_filing_equals_the_reference(self, case):
+        # Strict, so that the re-check never faults and filing goes on
+        # past a bad entry.
         params, dim, _, feed = case
-        ledger, reference = DifferenceLedger(params, dim), ReferenceLedger(params, dim)
+        ledger = DifferenceLedger(params, dim, strict=True)
+        reference = ReferenceLedger(params, dim)
         for driver_id, matches in feed:
-            before = [len(seen) for seen in differences(ledger)]
-            changed = []
-            fault = _fault(
-                lambda: changed.extend(ledger.record_matches(driver_id, matches))
-            )
+            fault = _fault(ledger.record_matches, driver_id, matches)
             assert fault == _fault(reference.file, matches)
             filed = differences(ledger)
             for slot, pos in enumerate(reference.positions):
                 assert (ledger._lo[slot], ledger._hi[slot]) == reference.bounds(pos)
                 assert filed[slot] == set(reference.diffs[pos])
                 assert ledger._count[slot] == len(filed[slot])
-            if fault is None:
-                # A new pair at a position is a new difference there.
-                grew = [s for s, n in enumerate(before) if len(filed[s]) > n]
-                assert sorted(changed) == grew
 
     @given(repeating_feeds())
     def test_feed_equals_the_reference_on_every_prefix(self, case):
         params, dim, strict, feed = case
-        attack = IncrementalAttack(params, dim, strict)
+        ledger = DifferenceLedger(params, dim, strict)
         reference = ReferenceLedger(params, dim)
         for driver_id, matches in feed:
-            fault = _fault(attack.feed, driver_id, matches)
+            fault = _fault(ledger.record_matches, driver_id, matches)
             assert fault == _fault(reference.feed, matches, strict)
             if fault is not None:
                 break  # a fault ends the attack
-            assert attack.unique_at == reference.unique_at
+            assert ledger.unique_at == reference.unique_at
+            assert ledger.responses == reference.responses
 
 
 class TestRecoverBlock:
@@ -373,24 +376,27 @@ class TestRecoverBlock:
         feed = data.draw(
             st.lists(st.tuples(st.integers(0, 3), st.integers(-top, top)), max_size=20)
         )
-        ledger = DifferenceLedger(params, 1)
-        assert ledger.interval(0, j) == (0, top)
-        assert not ledger.is_unique(0, j, strict=True)
+        strict = DifferenceLedger(params, 1, strict=True)
+        relaxed = DifferenceLedger(params, 1)
+        assert relaxed.interval(0, j) == (0, top)
+        assert not strict.is_unique(0, j)
         diffs = []
         for driver_id, d in feed:
-            ledger.record_matches(driver_id, {(0, j): d * params.weight(j)})
+            matches = {(0, j): d * params.weight(j)}
+            strict.record_matches(driver_id, matches)
+            fault = _fault(relaxed.record_matches, driver_id, matches)
             diffs.append(d)
-            assert ledger.is_unique(0, j, strict=True) == (
-                len(set(diffs)) == params.base
-            )
+            assert strict.is_unique(0, j) == (len(set(diffs)) == params.base)
             try:
                 expected = recover_block(diffs, params.block_bits)
             except LedgerFault:
-                with pytest.raises(LedgerFault):
-                    ledger.interval(0, j)
+                for ledger in (strict, relaxed):
+                    with pytest.raises(LedgerFault):
+                        ledger.interval(0, j)
                 continue
-            assert ledger.interval(0, j) == expected
-            assert ledger.is_unique(0, j) == (expected[0] == expected[1])
+            assert fault is None
+            assert strict.interval(0, j) == relaxed.interval(0, j) == expected
+            assert relaxed.is_unique(0, j) == (expected[0] == expected[1])
 
 
 class TestRecoverRiderVector:
@@ -407,33 +413,33 @@ class TestRecoverRiderVector:
         # position, so recovery must return the exact rider vector.
         params = BlockParams(2, 2)
         rider = (11, 6)
-        ledger = DifferenceLedger(params, 2)
+        ledger = DifferenceLedger(params, 2, strict=True)
         for v in range(params.capacity):
             ledger.record_matches(v, honest_matches(params, 2, rider, (v, v)))
-        vector, _ = recover_rider_vector(ledger, strict=True)
+        vector, _ = recover_rider_vector(ledger)
         assert vector == rider
 
     def test_one_bit_blocks_need_both_values(self):
         params = BlockParams(1, 1)
         rider = (1,)
-        ledger = DifferenceLedger(params, 1)
+        ledger = DifferenceLedger(params, 1, strict=True)
         ledger.record_matches(0, honest_matches(params, 1, rider, (1,)))
-        assert recover_rider_vector(ledger, strict=True)[0] is None
+        assert recover_rider_vector(ledger)[0] is None
         ledger.record_matches(1, honest_matches(params, 1, rider, (0,)))
-        vector, _ = recover_rider_vector(ledger, strict=True)
+        vector, _ = recover_rider_vector(ledger)
         assert vector == rider
 
     def test_strict_mode_demands_full_coverage(self):
         params = BlockParams(2, 1)
-        ledger = DifferenceLedger(params, 1)
         # Differences -1 and 2 pin the block to 1 by interval arithmetic,
         # but only two of four values were observed.
-        ledger.record_matches(0, {(0, 0): -1})
-        ledger.record_matches(1, {(0, 0): 2})
-        relaxed, _ = recover_rider_vector(ledger, strict=False)
-        strict, _ = recover_rider_vector(ledger, strict=True)
-        assert relaxed == (1,)
-        assert strict is None
+        recovered = []
+        for strict in (False, True):
+            ledger = DifferenceLedger(params, 1, strict)
+            ledger.record_matches(0, {(0, 0): -1})
+            ledger.record_matches(1, {(0, 0): 2})
+            recovered.append(recover_rider_vector(ledger)[0])
+        assert recovered == [(1,), None]
 
 
 class TestRecoverDriverVectors:
@@ -564,9 +570,6 @@ class TestRunAttack:
                 report.rider_vector,
                 report.driver_vectors,
             ) == expected
-            assert report.blocks_recovered == sum(
-                at is not None for at in expected[0].values()
-            )
 
     def test_unique_at_counts_and_monotone_recovery(self):
         params = BlockParams(1, 2)
@@ -577,10 +580,10 @@ class TestRunAttack:
         for k in range(12):
             driver = tuple(rng.randrange(params.capacity) for _ in range(dim))
             feed.append((k, honest_matches(params, dim, rider, driver)))
-        recovered_counts = [
-            run_attack(params, dim, feed[:upto]).blocks_recovered
-            for upto in range(1, len(feed) + 1)
-        ]
+        recovered_counts = []
+        for upto in range(1, len(feed) + 1):
+            unique_at = run_attack(params, dim, feed[:upto]).unique_at
+            recovered_counts.append(sum(at is not None for at in unique_at.values()))
         assert recovered_counts == sorted(recovered_counts)
         report = run_attack(params, dim, feed)
         for pos, at in report.unique_at.items():
@@ -607,7 +610,8 @@ class TestRunAttack:
         assert report.rider_vector is not None
         assert report.rider_vector == rider
         assert report.driver_vectors == drivers
-        assert report.blocks_recovered == report.blocks_total == dim * 2
+        assert len(report.unique_at) == dim * 2
+        assert None not in report.unique_at.values()
 
     def test_attack_with_embedding_table_names_nodes(self):
         # Random vectors rather than a grid: on grids the rider's blocks
@@ -630,37 +634,37 @@ class TestRunAttack:
 
 
 class TestIncrementalAttack:
+    """One ledger filed a response at a time and reported on after each."""
+
     @given(st.data())
     def test_every_prefix_matches_from_scratch(self, data):
         params, dim, strict, feed = data.draw(attack_feeds())
-        attack = IncrementalAttack(params, dim, strict)
+        ledger = DifferenceLedger(params, dim, strict)
         for upto in range(len(feed) + 1):
             if upto:
-                attack.feed(*feed[upto - 1])
-            # feed and is_unique apply the same rule to every position.
-            for pos, at in attack.unique_at.items():
-                assert (at is not None) == attack.ledger.is_unique(*pos, strict=strict)
+                ledger.record_matches(*feed[upto - 1])
+            # record_matches and is_unique apply the same rule everywhere.
+            for pos, at in ledger.unique_at.items():
+                assert (at is not None) == ledger.is_unique(*pos)
             expected = reference_attack(params, dim, feed[:upto], strict)
-            report = attack.report()
+            report = ledger.report()
             rider = (report.unique_at, report.candidates, report.rider_vector)
             assert rider == expected[:3]
             assert report.driver_vectors == {}
-            assert report.blocks_recovered == sum(
-                at is not None for at in expected[0].values()
-            )
+            assert ledger.responses == upto
 
     def test_empty_interval_faults_at_its_position(self):
         params = BlockParams(2, 1)
-        attack = IncrementalAttack(params, 2)
-        attack.feed(0, {(0, 0): 2, (1, 0): 0})
+        ledger = DifferenceLedger(params, 2)
+        ledger.record_matches(0, {(0, 0): 2, (1, 0): 0})
         with pytest.raises(LedgerFault, match=re.escape("consistent at (0, 0)")):
-            attack.feed(1, {(0, 0): -2, (1, 0): 0})
+            ledger.record_matches(1, {(0, 0): -2, (1, 0): 0})
         # Strict mode never reads the interval; it counts distinct values.
-        strict = IncrementalAttack(params, 2, strict=True)
+        strict = DifferenceLedger(params, 2, strict=True)
         for driver_id, d in enumerate((2, -2, 1)):
-            strict.feed(driver_id, {(0, 0): d, (1, 0): 0})
+            strict.record_matches(driver_id, {(0, 0): d, (1, 0): 0})
         assert strict.unique_at == {(0, 0): None, (1, 0): None}
-        strict.feed(3, {(0, 0): 0, (1, 0): 0})
+        strict.record_matches(3, {(0, 0): 0, (1, 0): 0})
         assert strict.unique_at == {(0, 0): 4, (1, 0): None}
 
     def test_rider_missing_from_the_table_faults(self):
@@ -668,12 +672,12 @@ class TestIncrementalAttack:
         dim = 3
         rider, *drivers = random_vectors(params, dim, 41, seed=5)
         table = [vec for vec in drivers if vec != rider]
-        attack = IncrementalAttack(params, dim, index=embedding_index(table))
+        ledger = DifferenceLedger(params, dim)
         for k, vec in enumerate(drivers):
-            attack.feed(k, honest_matches(params, dim, rider, vec))
-        assert recover_rider_vector(attack.ledger)[0] == rider
+            ledger.record_matches(k, honest_matches(params, dim, rider, vec))
+        assert ledger.report().rider_vector == rider
         with pytest.raises(LedgerFault, match="embeds no node"):
-            attack.report()
+            ledger.report(embedding_index(table))
 
 
 class TestSoundness:

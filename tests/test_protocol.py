@@ -352,21 +352,60 @@ class TestMatchIndex:
         with pytest.raises(ProtocolFault, match="matched no rider entry"):
             match_all(request, forged)
 
+    @staticmethod
+    def _forge_group(request, label, forge):
+        """``request`` with its group at ``label`` replaced by ``forge(group)``."""
+        return RiderRequest(
+            request.context,
+            tuple(
+                forge(g) if (g.coord, g.block_index) == label else g
+                for g in request.groups
+            ),
+        )
+
+    @staticmethod
+    def _cut_payloads(group):
+        """The group with every masked payload cut to 5 bytes."""
+        cut = tuple(e._replace(c2=e.c2[:5]) for e in group.entries)
+        return dataclasses.replace(group, entries=cut)
+
     def test_malformed_rider_entry_is_a_fault(self):
         # Every masked payload of group (0, 1) cut to 5 bytes: the honest
         # pair there matches its token, and the fault names the position.
         ctx = make_ctx()
         request, response = self._honest(ctx)
-        groups = list(request.groups)
-        k, group = next(
-            (k, g) for k, g in enumerate(groups) if (g.coord, g.block_index) == (0, 1)
-        )
-        cut = tuple(e._replace(c2=e.c2[:5]) for e in group.entries)
-        groups[k] = dataclasses.replace(group, entries=cut)
-        forged = RiderRequest(ctx, tuple(groups))
+        forged = self._forge_group(request, (0, 1), self._cut_payloads)
         for _ in range(2):  # a malformed entry is never cached
             with pytest.raises(ProtocolFault, match=r"\(0, 1\) has a 5-byte payload"):
                 match_all(forged, response)
+
+    def test_rider_group_outside_the_positions_is_a_fault(self):
+        # Group (0, 0) relabelled (0, 7), and the driver's pair with it:
+        # unchecked, the pair matches and the map lacks (0, 0).
+        ctx = make_ctx(num_blocks=2, dim=1)
+        request, response = self._honest(ctx, rider=(6,), driver=(9,))
+        forged = self._forge_group(
+            request, (0, 0), lambda g: dataclasses.replace(g, block_index=7)
+        )
+        first, *rest = response.entries
+        moved = DriverResponse(0, ctx, (first._replace(block_index=7), *rest))
+        for _ in range(2):  # a request that failed to index fails again
+            with pytest.raises(ProtocolFault, match=r"\(0, 7\) is outside the session"):
+                match_all(forged, moved)
+
+    def test_request_forgeries_equal_the_reference(self):
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        forgeries = [
+            self._forge_group(request, (0, 1), self._cut_payloads),
+            self._forge_group(
+                request, (1, 0), lambda g: dataclasses.replace(g, coord=2)
+            ),
+        ]
+        for forged in forgeries:
+            got = _outcome(match_all, forged, response)
+            assert got[0] is ProtocolFault
+            assert got == _outcome(reference_match, forged, response, ctx)
 
     def test_unhashable_entry_raises_the_first_fault(self):
         # The unknown label comes first, so its fault wins over the

@@ -25,7 +25,7 @@ class TestGridGeneration:
         net = generate_grid_network(1, 1, (1, 1), seed=0)
         assert net.num_nodes == 1
         assert net.edges == ()
-        assert net.embed(0) == (0,) * net.dim
+        assert net.embedding_table()[0] == (0,) * net.dim
 
     def test_two_by_two_uniform_weights(self):
         net = generate_grid_network(2, 2, (5, 5), seed=3)
@@ -88,29 +88,28 @@ class TestShortestPaths:
     def test_distance_to_self_is_zero(self):
         net = generate_grid_network(3, 3, (1, 10), seed=11)
         for node in range(net.num_nodes):
-            assert net.shortest_path_distance(node, node) == 0
+            assert net.distances_from([node])[node] == 0
 
     def test_single_edge(self):
         net = RoadNetwork(2, [(0, 1, 7)], [[0]])
-        assert net.shortest_path_distance(0, 1) == 7
-        assert net.shortest_path_distance(1, 0) == 7
+        assert net.distances_from([0])[1] == 7
+        assert net.distances_from([1])[0] == 7
 
     def test_all_pairs_agree_with_relaxation_oracle(self):
         net = generate_grid_network(5, 5, (1, 10), seed=42)
         oracle = floyd_warshall(net)
         for u in range(net.num_nodes):
-            for v in range(net.num_nodes):
-                assert net.shortest_path_distance(u, v) == oracle[u][v]
+            assert net.distances_from([u]) == oracle[u]
 
     def test_symmetry(self):
         net = generate_grid_network(4, 3, (1, 9), seed=5)
         for u, v in itertools.combinations(range(net.num_nodes), 2):
-            assert net.shortest_path_distance(u, v) == net.shortest_path_distance(v, u)
+            assert net.distances_from([u])[v] == net.distances_from([v])[u]
 
     def test_unknown_node(self):
         net = RoadNetwork(2, [(0, 1, 7)], [[0]])
-        with pytest.raises(ValueError):
-            net.shortest_path_distance(0, 9)
+        with pytest.raises(ValueError, match="unknown node 9"):
+            net.distances_from([9])
 
 
 @st.composite
@@ -203,19 +202,19 @@ class TestDiameter:
 class TestEmbedding:
     def test_node_in_every_subset_embeds_to_zero(self):
         net = RoadNetwork(3, [(0, 1, 2), (1, 2, 3)], [[0, 1], [0, 2], [0]])
-        assert net.embed(0) == (0, 0, 0)
+        assert net.embedding_table()[0] == (0, 0, 0)
 
     def test_singleton_subsets_give_exact_distances(self):
         net = generate_grid_network(2, 2, (5, 5), seed=1, landmarks=4)
         for node in range(net.num_nodes):
-            embedded = net.embed(node)
+            embedded = net.embedding_table()[node]
             for i, subset in enumerate(net.landmark_subsets):
                 landmark = next(iter(subset))
-                assert embedded[i] == net.shortest_path_distance(node, landmark)
+                assert embedded[i] == net.distances_from([node])[landmark]
 
     def test_multi_node_subset_takes_nearest(self):
         net = RoadNetwork(3, [(0, 1, 2), (1, 2, 3)], [[0, 2]])
-        assert net.embed(1) == (2,)
+        assert net.embedding_table()[1] == (2,)
 
     def test_embedding_deterministic(self):
         a = generate_grid_network(3, 3, (1, 10), seed=9)
@@ -227,10 +226,9 @@ class TestEmbedding:
         net = generate_grid_network(rows, cols, (1, 10), seed=rows * 31 + cols)
         table = net.embedding_table()
         for u in range(net.num_nodes):
+            dist = net.distances_from([u])
             for v in range(net.num_nodes):
-                assert rne_distance(table[u], table[v]) <= net.shortest_path_distance(
-                    u, v
-                )
+                assert rne_distance(table[u], table[v]) <= dist[v]
 
 
 class TestRneDistance:
@@ -274,7 +272,7 @@ class TestNetworkFileFormat:
         net = parse_network("3 2\n0 1 4\n1 2 5\n0\n2\n")
         assert net.num_nodes == 3
         assert net.dim == 2
-        assert net.embed(1) == (4, 5)
+        assert net.embedding_table()[1] == (4, 5)
 
     def test_malformed_header(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,16 @@
 
 ``perfbench/tracer.py`` rebinds functions and methods by name and
 ``perfbench/worker.py`` builds its runs from harness keywords, so a rename
-here would crash ``perfbench/run.py --trace 1``. The demos exercise the
-public API end to end and must print no failure marker.
+here would crash ``perfbench/run.py --trace 1``. The worker also reads the
+PRF watchdog's counters, ``harness.dump_records`` and the record keys, so
+each workload runs through it untraced and must check clean. The demos
+exercise the public API end to end and must print no failure marker.
 The README's quick start runs as written and prints what its comment says.
 """
 
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -58,6 +61,22 @@ def test_worker_arguments_fit_the_harness(perfbench):
         ExperimentConfig(
             mode="end_to_end", weight_range=worker.WEIGHTS, seed=1, workers=2, **config
         ).validate()
+
+
+@pytest.mark.parametrize("workload", ["sessions_grid", "fleet_synthetic", "city_merge"])
+def test_benchmark_worker_checks_its_run(workload):
+    spec = {"workload": workload, "seed": 505, "workers": 1, "traced": False}
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"), json.dumps(spec)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["failed"] == 0
+    assert out["problems"] == []
 
 
 DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py", "03_responder_counts.py"]
