@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        help=f"table1 worker threads, 1..{MAX_WORKERS} (same output)",
+        help=f"accepted, 1..{MAX_WORKERS}, and unused: every run is serial",
     )
     return parser
 

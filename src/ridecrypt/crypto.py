@@ -295,11 +295,3 @@ def issue_system_keys(seed: int) -> SystemKeys:
 def generate_nonce(rng: random.Random) -> bytes:
     """Fresh 16-byte nonce, one per block group per request."""
     return rng.randbytes(NONCE_BYTES)
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("xor operands must have equal length")
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
-        len(a), "little"
-    )

@@ -3,11 +3,11 @@ deterministic seeding, and report records.
 
 Every run is reproducible from (config, seed). Randomness is derived
 per purpose through a keyed hash of the master seed, so a session's
-outcome does not depend on how many sessions ran before it, and a table1
-estimate does not depend on how its trial chunks are split across
-workers. Sessions run serially, in index order; ``workers`` sizes only
-the table1 chunk pool, where numpy releases the GIL. Reports are
-byte-identical at any worker count.
+outcome does not depend on how many sessions ran before it, and each
+fixed-size chunk of table1 trials draws from its own seed. Every run is
+serial: sessions in index order, table1 chunk by chunk. ``workers`` is
+range-checked and otherwise unused, so reports are byte-identical at any
+worker count.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .attack import DifferenceLedger, RecoveryReport, embedding_index, run_attack
 from .codec import BlockParams, decompose
@@ -47,21 +46,22 @@ from .roadnet import (
     rne_distance,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 SCHEMA_VERSION = 1
 
 MODES = ("table1", "end_to_end", "protocol_only")
 
 #: Responders needed for guaranteed per-block recovery at each block width:
-#: the ceiling of the coupon-collector expectation 2**l * H(2**l).
+#: the ceiling of the coupon-collector expectation 2**l * H(2**l). Its keys
+#: are the only block widths the harness runs.
 EXPECTED_DRIVERS = {1: 3, 2: 9, 3: 22, 4: 55}
 
 _TRIALS_CHUNK = 1 << 14
 
-#: Most worker threads a run may ask for. Fixed rather than tied to the
-#: machine, so the same flags are a usage error everywhere.
+#: Bits per random word of the coverage simulation, a multiple of every width.
+_WORD_BITS = 12
+
+#: Largest ``workers`` a run accepts. Fixed rather than tied to the machine,
+#: so the same flags are a usage error everywhere.
 MAX_WORKERS = 64
 
 #: Zone id of every synthetic session's ride context.
@@ -109,65 +109,51 @@ def blocks_needed(max_value: int, block_bits: int) -> int:
     return max(1, -(-max(max_value, 1).bit_length() // block_bits))
 
 
-def _coverage_chunk(block_bits: int, count: int, seed: int) -> np.ndarray:
+def _check_block_bits(bits: int) -> None:
+    if bits not in EXPECTED_DRIVERS:
+        widths = f"{min(EXPECTED_DRIVERS)}..{max(EXPECTED_DRIVERS)}"
+        raise ValueError(f"supported block widths are {widths}, got {bits}")
+
+
+def _coverage_chunk(block_bits: int, count: int, seed: int) -> list[int]:
     """Draws-to-full-coverage for ``count`` independent trials.
 
-    Trials run in lockstep: each slab draws a block of uniform values per
-    active trial, a cumulative bitwise OR tracks which block values have
-    appeared, and a trial finishes at the first column where its mask is
-    full. Unfinished trials carry their mask into the next slab.
+    A trial ORs its draws, ``block_bits`` at a time from fresh random words,
+    into a bitmask of the block values seen, and stops at the draw that
+    fills it; the draws left in that word are dropped.
     """
-    # numpy is imported where table1 uses it, and nowhere on a session path.
-    import numpy as np
-
-    k = 1 << block_bits
-    full = (1 << k) - 1
-    slab = 4 * k + 16
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(count, dtype=np.int64)
-    masks = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    while active.size:
-        draws = rng.integers(0, k, size=(active.size, slab))
-        cum = np.bitwise_or.accumulate(np.left_shift(1, draws), axis=1)
-        cum |= masks[active, None]
-        done = cum[:, -1] == full
-        first = (cum == full).argmax(axis=1)
-        counts[active] += np.where(done, first + 1, slab)
-        masks[active] = cum[:, -1]
-        active = active[~done]
+    low, full = (1 << block_bits) - 1, (1 << (1 << block_bits)) - 1
+    getrandbits = Random(seed).getrandbits
+    counts = []
+    for _ in range(count):
+        mask = draws = 0
+        while mask != full:
+            word = getrandbits(_WORD_BITS)
+            for _ in range(_WORD_BITS // block_bits):
+                mask |= 1 << (word & low)
+                word >>= block_bits
+                draws += 1
+                if mask == full:
+                    break
+        counts.append(draws)
     return counts
 
 
-def simulate_coverage_draws(
-    block_bits: int, trials: int, seed: int, workers: int = 1
-) -> np.ndarray:
+def simulate_coverage_draws(block_bits: int, trials: int, seed: int) -> list[int]:
     """Monte Carlo sample of draws-to-full-coverage, one entry per trial.
 
     Trials are split into fixed-size chunks, each chunk seeded from
-    (seed, block width, chunk index); chunk boundaries, not worker count,
-    determine the random streams.
+    (seed, block width, chunk index), so the chunk boundaries determine
+    the random streams.
     """
-    import numpy as np
-
-    if not 1 <= block_bits <= 5:
-        # Coverage masks are int64 bitsets with one bit per block value.
-        raise ValueError(f"block_bits must be in 1..5, got {block_bits}")
+    _check_block_bits(block_bits)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sizes = [
-        min(_TRIALS_CHUNK, trials - start)
-        for start in range(0, trials, _TRIALS_CHUNK)
-    ]
-    seeds = [
-        derive_seed(seed, "coverage", block_bits, index)
-        for index in range(len(sizes))
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(
-            pool.map(lambda args: _coverage_chunk(block_bits, *args), zip(sizes, seeds))
-        )
-    return np.concatenate(chunks)
+    counts = []
+    for index, start in enumerate(range(0, trials, _TRIALS_CHUNK)):
+        chunk_seed = derive_seed(seed, "coverage", block_bits, index)
+        counts += _coverage_chunk(block_bits, min(_TRIALS_CHUNK, trials - start), chunk_seed)
+    return counts
 
 
 @dataclass
@@ -186,23 +172,19 @@ class Table1Row:
         return {"record": "table1_row", "schema": SCHEMA_VERSION, **_report_fields(self)}
 
 
-def run_table1(
-    block_bits: int, trials: int = 100_000, seed: int = 1, workers: int = 1
-) -> Table1Row:
+def run_table1(block_bits: int, trials: int = 100_000, seed: int = 1) -> Table1Row:
     """Estimate the mean responder count needed for full per-block coverage
     and put it next to the analytic value and its ceiling."""
-    import numpy as np
-
-    if block_bits not in EXPECTED_DRIVERS:
-        raise ValueError(f"supported block widths are 1..4, got {block_bits}")
-    counts = simulate_coverage_draws(block_bits, trials, seed, workers)
+    counts = simulate_coverage_draws(block_bits, trials, seed)
+    # Exact integer sums: the mean and the standard error round once each.
+    total, squares = sum(counts), sum(draws * draws for draws in counts)
+    spread = trials * squares - total * total  # n * (n - 1) * sample variance
     analytic = expected_coverage_draws(block_bits)
-    stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return Table1Row(
         block_bits=block_bits,
         trials=trials,
-        mean=float(np.mean(counts)),
-        stderr=stderr,
+        mean=total / trials,
+        stderr=math.sqrt(spread / (trials * trials * (trials - 1))) if trials > 1 else 0.0,
         analytic=float(analytic),
         analytic_ceiling=math.ceil(analytic),
         expected_drivers=EXPECTED_DRIVERS[block_bits],
@@ -230,7 +212,7 @@ class ExperimentConfig:
     seed: int = 1
     strict_lemma: bool = False
     merge_requests: bool = False
-    workers: int = 1  # table1 chunk threads; sessions always run serially
+    workers: int = 1  # range-checked and unused: every run is serial
 
     def __post_init__(self) -> None:
         if self.mode != "table1" and self.network_file is None:
@@ -242,8 +224,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.block_bits is not None and self.block_bits not in (1, 2, 3, 4):
-            raise ValueError("supported block widths are 1..4")
+        if self.block_bits is not None:
+            _check_block_bits(self.block_bits)
         if self.num_blocks is not None:
             BlockParams(self.resolved_block_bits, self.num_blocks)
         if self.num_drivers is not None and self.num_drivers < 1:
@@ -288,7 +270,9 @@ class ExperimentConfig:
         if self.num_drivers is not None:
             return self.num_drivers
         if self.mode == "end_to_end":
-            # Four times the expectation makes full recovery the norm.
+            # Four times the coupon-collector expectation. With uniform
+            # blocks that makes full recovery the norm; on a road network's
+            # embedded coordinates it does not (README "Parameters and limits").
             return math.ceil(4 * expected_coverage_draws(self.resolved_block_bits))
         return 4
 
@@ -650,12 +634,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Dispatch a config to its runner and return all report records."""
     records = [config_record(config)]
     if config.mode == "table1":
-        widths = [1, 2, 3, 4] if config.block_bits is None else [config.block_bits]
+        widths = list(EXPECTED_DRIVERS) if config.block_bits is None else [config.block_bits]
         for width in widths:
-            row = run_table1(
-                width, config.resolved_trials, config.seed, config.workers
-            )
-            records.append(row.to_record())
+            records.append(run_table1(width, config.resolved_trials, config.seed).to_record())
     else:
         session_records, aggregate = run_sessions(config)
         records.extend(session_records)

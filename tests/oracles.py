@@ -9,8 +9,17 @@ plain feasibility scans instead of interval arithmetic.
 from __future__ import annotations
 
 from ridecrypt.codec import PAYLOAD_BYTES, decode_signed
-from ridecrypt.crypto import encode_message, prf_f, prf_h, xor_bytes
+from ridecrypt.crypto import encode_message, prf_f, prf_h
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR of two equal-length strings: the payload unmasking step."""
+    if len(a) != len(b):
+        raise ValueError("xor operands must have equal length")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+        len(a), "little"
+    )
 
 
 def floyd_warshall(net) -> list[list[int]]:

@@ -55,7 +55,6 @@ class TestUsageErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", unreachable)
         monkeypatch.setattr(cli, "run_experiment", unreachable)
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", mode, "--workers", str(harness.MAX_WORKERS + 1)])

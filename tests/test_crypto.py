@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import xor_bytes
 from ridecrypt import crypto
 from ridecrypt.codec import BlockParams
 from ridecrypt.crypto import (
@@ -26,7 +27,6 @@ from ridecrypt.crypto import (
     session_codebook,
     session_memo,
     watchdog,
-    xor_bytes,
 )
 from ridecrypt.errors import PrfCollisionError
 from ridecrypt.harness import _session_matches
@@ -165,6 +165,7 @@ class TestNonce:
 
 
 class TestXorBytes:
+    # The oracles' payload unmasking; the library XORs payload integers.
     def test_round_trip(self):
         a, b = b"\x01\x02\x03", b"\xff\x00\x10"
         assert xor_bytes(xor_bytes(a, b), b) == a

@@ -6,8 +6,9 @@ per-driver ledger rows and an incremental merge mode; ``zero_weight_grid``
 was taken before the network diameter moved from all-pairs Dijkstra to
 bounding sweeps. The benchmark workloads' hashes were taken before driver
 recovery moved from per-driver ledger rows to each driver's own matched
-response. If a change alters a report on purpose, say why where the hash is
-updated.
+response. ``table1``'s hash was taken when the coverage simulation moved
+from numpy to integer-exact Python. If a change alters a report on purpose,
+say why where the hash is updated.
 """
 
 import hashlib
@@ -75,19 +76,32 @@ def strict_synthetic():
     return records + [aggregate]
 
 
+def table1(workers=1):
+    # Two chunks per width. The bytes changed when the chunks' draws moved
+    # from numpy's generator to ``random.Random`` words and the statistics
+    # to exact integer sums.
+    return run_experiment(
+        ExperimentConfig(mode="table1", trials=20_000, seed=9, workers=workers)
+    )
+
+
 GOLDEN = [
     (end_to_end, "359d3e0f482ec636b98a5390012eb45db2ce5c7d29f8f74664aa17158b6320ee"),
     (protocol_only, "c22dc806d29f4cbdb38b34798ef6be31b75b2db1973556e682cdb915eedf183c"),
     (merged_end_to_end, "f29e83581118901548d01a4943d5cc216ea79984ab0c9f176b5344ffb987ff5d"),
     (zero_weight_grid, "8cc4dc3487780e62d4d78e067a631094c4c83b1f9cfa99b541c44fb28c920c0a"),
     (strict_synthetic, "743c4981dd93be75c7c973625fe2c7eef9266238e73807857788e9ec78b8d805"),
+    (table1, "54c113241437237bd620f40ca2b4061daf01d6e243b7e81ad1d65f889f9f5f5d"),
 ]
+
+
+def digest_of(records):
+    return hashlib.sha256(dump_records(records).encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("run, digest", GOLDEN, ids=[run.__name__ for run, _ in GOLDEN])
 def test_report_hash_unchanged(run, digest):
-    records = run()
-    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == digest
+    assert digest_of(run()) == digest
 
 
 def test_golden_runs_exercise_recovery():
@@ -106,7 +120,7 @@ def test_sessions_compute_the_prf_floor_only():
     aggregate = records[-1]
     floor = 4 * aggregate["n"] * aggregate["m"] * 2 ** aggregate["l"]
     assert computed == aggregate["sessions"] * floor
-    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == GOLDEN[0][1]
+    assert digest_of(records) == GOLDEN[0][1]
 
 
 def test_merged_reports_look_up_each_node_once(monkeypatch):
@@ -129,8 +143,7 @@ def test_merged_reports_look_up_each_node_once(monkeypatch):
     rider_reports = sum(r["rider_vector_recovered"] for r in sessions)
     assert rider_reports == 5 and sessions[-1]["rider_vector_recovered"]
     assert len(calls) == rider_reports
-    digest = hashlib.sha256(dump_records(records).encode("ascii")).hexdigest()
-    assert digest == GOLDEN[2][1]
+    assert digest_of(records) == GOLDEN[2][1]
 
 
 #: Report SHA-256 of each benchmark workload at seed 505, where city_merge
@@ -148,22 +161,37 @@ def test_benchmark_workload_hash_unchanged(workload, digest, monkeypatch):
     import worker
 
     records = worker.run_workload(workload, 505, 1)
-    assert hashlib.sha256(dump_records(records).encode("ascii")).hexdigest() == digest
+    assert digest_of(records) == digest
     if workload == "city_merge":
         assert records[-1]["sessions_rider_exact"] == 14
 
 
 def test_session_runs_do_not_import_numpy():
-    # numpy serves table1 only. A fresh interpreter, since the suite itself
-    # imports numpy: the strict synthetic run recovers every driver, and the
-    # merged run recovers the rider and names the nodes.
+    # The package has no runtime dependency. A fresh interpreter, since the
+    # suite itself imports numpy, with every numpy import made to fail: the
+    # strict synthetic run recovers every driver, the merged run recovers
+    # the rider and names the nodes, table1 gives the pinned bytes at
+    # workers 1 and 2, and none of them loads multiprocessing.
     tests = os.path.join(ROOT, "tests")
     src = os.path.join(ROOT, "src")
     script = (
-        "import sys, test_golden\n"
+        "import sys\n"
+        "blocked = []\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'numpy':\n"
+        "            blocked.append(name)\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "import test_golden\n"
         "assert test_golden.strict_synthetic()[-1]['sessions_all_exact'] == 3\n"
         "assert test_golden.merged_end_to_end()[-1]['sessions_rider_exact'] == 5\n"
-        "print([name for name in sys.modules if name.split('.')[0] == 'numpy'])\n"
+        "digest = dict((run.__name__, d) for run, d in test_golden.GOLDEN)['table1']\n"
+        "for workers in (1, 2):\n"
+        "    assert test_golden.digest_of(test_golden.table1(workers)) == digest\n"
+        "loaded = {name.split('.')[0] for name in sys.modules}\n"
+        "assert not loaded & {'numpy', 'multiprocessing'}, loaded\n"
+        "assert not blocked, blocked\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -173,4 +201,3 @@ def test_session_runs_do_not_import_numpy():
         check=False,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"

@@ -80,17 +80,18 @@ class TestCoverageSimulation:
     def test_deterministic(self):
         a = simulate_coverage_draws(2, 5000, seed=3)
         b = simulate_coverage_draws(2, 5000, seed=3)
-        assert (a == b).all()
+        assert a == b
 
     def test_spans_chunks(self):
         counts = simulate_coverage_draws(1, 20_000, seed=4)
         assert len(counts) == 20_000
-        assert counts.min() >= 2  # both values cannot appear in fewer draws
+        assert min(counts) >= 2  # both values cannot appear in fewer draws
 
     def test_worker_count_does_not_change_results(self):
-        serial = simulate_coverage_draws(3, 40_000, seed=5, workers=1)
-        parallel = simulate_coverage_draws(3, 40_000, seed=5, workers=4)
-        assert (serial == parallel).all()
+        # Three chunks; --workers is range-checked, and every run is serial.
+        serial = ExperimentConfig(mode="table1", block_bits=3, trials=40_000, seed=5)
+        parallel = dataclasses.replace(serial, workers=4)
+        assert dump_records(run_experiment(serial)) == dump_records(run_experiment(parallel))
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
@@ -98,8 +99,7 @@ class TestCoverageSimulation:
 
     @pytest.mark.parametrize("bits", [0, 6])
     def test_rejects_widths_beyond_the_mask(self, bits):
-        # 2**6 block values overflow the int64 coverage mask, so the
-        # simulation would never see full coverage.
+        # The harness runs only the widths EXPECTED_DRIVERS lists.
         with pytest.raises(ValueError):
             simulate_coverage_draws(bits, 10, seed=1)
 
@@ -229,16 +229,11 @@ class TestSessionRuns:
         second = dump_records(run_experiment(config))
         assert first == second
 
-    def test_workers_do_not_change_records(self, monkeypatch):
+    def test_workers_do_not_change_records(self):
         base = small_config(mode="end_to_end", num_drivers=8, trials=4)
         parallel = small_config(mode="end_to_end", num_drivers=8, trials=4, workers=3)
         serial_records = dump_records(run_experiment(base))
 
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a session mode started a thread pool")
-
-        # Sessions run serially whatever the worker count.
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_thread)
         assert serial_records == dump_records(run_experiment(parallel))
 
     def test_one_seed_per_session_whatever_the_driver_count(self, monkeypatch):

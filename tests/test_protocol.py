@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import best_driver, decrypt_request, reference_distance, reference_match
+from oracles import (
+    best_driver,
+    decrypt_request,
+    reference_distance,
+    reference_match,
+    xor_bytes,
+)
 from ridecrypt.codec import BlockParams, decompose, encode_signed, recompose
 from ridecrypt.crypto import (
     encode_message,
@@ -16,7 +22,6 @@ from ridecrypt.crypto import (
     prf_h,
     session_codebook,
     session_memo,
-    xor_bytes,
 )
 from ridecrypt import protocol
 from ridecrypt.errors import CapacityError, PrfCollisionError, ProtocolFault
