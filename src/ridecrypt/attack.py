@@ -14,19 +14,19 @@ One tracker, :class:`DifferenceLedger`, holds what the provider learns
 about the rider, and nothing per driver. It is built with its uniqueness
 rule, files each matched response with ``record_matches``, notes after how
 many responses each position's rider block became unique, and produces a
-:class:`RecoveryReport` with ``report``. Per position it keeps the running
-candidate interval, narrowed by each difference ``d`` to
-``[max(lo, -d), min(hi, top - d)]``, and a count of the (position,
-payload) pairs accepted there; a payload is one-to-one with its difference
-at a position, so that is the number of distinct differences. They answer
-"is the rider block pinned?" in O(1). Each pair is filed once, and honest
-drivers send at most ``2**(l+1) - 1`` distinct payloads per position, so
-the ledger's size is bounded by the position count, however many
-responses were filed. A response whose pairs were all filed before costs
-one subset test, and only the open positions a response changed are
-re-checked; filing a response costs at most O(positions), and recovering
-the drivers O(drivers * positions), one pass over each driver's matches,
-so an attack is linear in what it is fed.
+:class:`RecoveryReport` with ``report``. Keyed by (coordinate, block)
+position, it keeps the running candidate interval, narrowed by each
+difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and a count of
+the (position, payload) pairs accepted there; a payload is one-to-one with
+its difference at a position, so that is the number of distinct
+differences. Only ``interval`` and ``is_unique`` read them, each in O(1).
+Each pair is filed once, and honest drivers send at most ``2**(l+1) - 1``
+distinct payloads per position, so the ledger's size is bounded by the
+position count, however many responses were filed. A response whose pairs
+were all filed before costs one subset test, and only the open positions a
+response changed are re-checked; filing a response costs at most
+O(positions), and recovering the drivers O(drivers * positions), one pass
+over each driver's matches, so an attack is linear in what it is fed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import add, floordiv
 from typing import Iterable, Mapping, Sequence
 
-from .codec import BlockParams, decompose, recompose
+from .codec import BlockParams, recompose
 from .errors import LedgerFault
 from .roadnet import RneVector
 
@@ -82,39 +82,31 @@ class DifferenceLedger:
         self.dim = dim
         self.strict = strict
         self.responses = 0
-        self._base = params.base
-        self._weights = tuple(params.weight(j) for j in range(params.num_blocks))
-        size = dim * params.num_blocks
-        self._lo = [0] * size
-        self._hi = [self._base - 1] * size
+        positions = params.positions(dim)
+        self._lo = dict.fromkeys(positions, 0)
+        self._hi = dict.fromkeys(positions, params.base - 1)
         # Pairs accepted per position; a payload is one-to-one with its
         # difference there, so this counts the distinct differences.
-        self._count = [0] * size
+        self._count = dict.fromkeys(positions, 0)
         # Every ((coord, block), payload) pair filed so far.
         self._accepted: set[tuple[tuple[int, int], int]] = set()
-        self._positions = tuple(
-            (i, j) for i in range(dim) for j in range(params.num_blocks)
-        )
-        self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(
-            self._positions
-        )
-        # Row indexes of the positions not yet unique.
-        self._open = set(range(size))
+        self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(positions)
+        # The positions not yet unique.
+        self._open = set(positions)
 
-    def _slot(self, coord: int, block_index: int) -> int:
-        """Row index of a position; rejects positions outside the ledger."""
+    def _check(self, coord: int, block_index: int) -> None:
+        """Reject a position outside the ledger."""
         if not 0 <= coord < self.dim:
             raise ValueError(f"coordinate {coord} out of range")
         if not 0 <= block_index < self.params.num_blocks:
             raise ValueError(f"block index {block_index} out of range")
-        return coord * self.params.num_blocks + block_index
 
     def record_matches(
         self, driver_id: int, matches: Mapping[tuple[int, int], int]
     ) -> None:
         """File one driver's ``ServiceProvider.match_response`` output, in
         the map's order, count the response, then re-check in position
-        order, by :meth:`slot_is_unique`, the open positions it changed.
+        order, through :meth:`is_unique`, the open positions it changed.
 
         Each payload must be an exact multiple of its position weight and
         normalize to an in-range difference; the first entry that fails
@@ -135,18 +127,15 @@ class DifferenceLedger:
         if accepted.issuperset(matches.items()):
             self.responses += 1
             return
-        dim, num_blocks, weights = self.dim, self.params.num_blocks, self._weights
-        top = self._base - 1
+        weights, top = self.params.weights, self.params.base - 1
         lo, hi, count = self._lo, self._hi, self._count
         changed = []
         for pair in matches.items():
             if pair in accepted:
                 continue
-            (coord, block_index), payload = pair
-            if not 0 <= coord < dim:
-                raise ValueError(f"coordinate {coord} out of range")
-            if not 0 <= block_index < num_blocks:
-                raise ValueError(f"block index {block_index} out of range")
+            pos, payload = pair
+            coord, block_index = pos
+            self._check(coord, block_index)
             weight = weights[block_index]
             d, rest = divmod(payload, weight)
             if rest:
@@ -158,7 +147,6 @@ class DifferenceLedger:
                 raise LedgerFault(
                     f"difference {d} at ({coord}, {block_index}) exceeds block range"
                 )
-            pos = coord * num_blocks + block_index
             if lo[pos] < -d:
                 lo[pos] = -d
             if hi[pos] > top - d:
@@ -167,36 +155,30 @@ class DifferenceLedger:
             accepted.add(pair)
             changed.append(pos)
         self.responses += 1
-        for slot in sorted(self._open.intersection(changed)):
-            if self.slot_is_unique(slot):
-                self.unique_at[self._positions[slot]] = self.responses
-                self._open.remove(slot)
-
-    def _interval_at(self, slot: int) -> tuple[int, int]:
-        """Candidate interval at a row index; raises :class:`LedgerFault`
-        when no block value is consistent there."""
-        lo, hi = self._lo[slot], self._hi[slot]
-        if lo > hi:
-            i, j = divmod(slot, self.params.num_blocks)
-            raise LedgerFault(f"no block value is consistent at ({i}, {j})")
-        return lo, hi
-
-    def slot_is_unique(self, slot: int) -> bool:
-        """Whether the rider block at a row index is pinned down under the
-        ledger's rule: the one uniqueness test."""
-        if self.strict:
-            return self._count[slot] == self._base
-        lo, hi = self._interval_at(slot)
-        return lo == hi
+        for pos in sorted(self._open.intersection(changed)):
+            if self.is_unique(*pos):
+                self.unique_at[pos] = self.responses
+                self._open.remove(pos)
 
     def interval(self, coord: int, block_index: int) -> tuple[int, int]:
-        """Current candidate interval; the full range if nothing was seen."""
-        return self._interval_at(self._slot(coord, block_index))
+        """Current candidate interval; the full range if nothing was seen.
+        Raises :class:`LedgerFault` when no block value is consistent."""
+        self._check(coord, block_index)
+        lo, hi = self._lo[coord, block_index], self._hi[coord, block_index]
+        if lo > hi:
+            raise LedgerFault(
+                f"no block value is consistent at ({coord}, {block_index})"
+            )
+        return lo, hi
 
     def is_unique(self, coord: int, block_index: int) -> bool:
-        """Whether this position's rider block is pinned down, by
-        :meth:`slot_is_unique`."""
-        return self.slot_is_unique(self._slot(coord, block_index))
+        """Whether this position's rider block is pinned down under the
+        ledger's rule: the one uniqueness test."""
+        if self.strict:
+            self._check(coord, block_index)
+            return self._count[coord, block_index] == self.params.base
+        lo, hi = self.interval(coord, block_index)
+        return lo == hi
 
     def report(
         self, index: Mapping[RneVector, tuple[int, int]] | None = None
@@ -228,14 +210,9 @@ def recover_rider_vector(
     candidates = {pos: ledger.interval(*pos) for pos in ledger.unique_at}
     if None in ledger.unique_at.values():
         return None, candidates
-    vector = tuple(
-        recompose(
-            [candidates[(i, j)][0] for j in range(ledger.params.num_blocks)],
-            ledger.params,
-        )
-        for i in range(ledger.dim)
-    )
-    return vector, candidates
+    blocks = iter([lo for lo, _ in candidates.values()])
+    runs = zip(*[blocks] * ledger.params.num_blocks)  # one coordinate's blocks each
+    return tuple(recompose(run, ledger.params) for run in runs), candidates
 
 
 def recover_driver_vectors(
@@ -257,11 +234,9 @@ def recover_driver_vectors(
     within it the first position.
     """
     num_blocks, top = params.num_blocks, params.base - 1
-    positions = [(i, j) for i in range(len(rider_vector)) for j in range(num_blocks)]
-    rider_blocks = [
-        block for coordinate in rider_vector for block in decompose(coordinate, params)
-    ]
-    weights = [params.weight(j) for j in range(num_blocks)] * len(rider_vector)
+    positions = params.positions(len(rider_vector))
+    rider_blocks = params.split(rider_vector)
+    weights = params.weights * len(rider_vector)
     latest: dict[int, Mapping[tuple[int, int], int]] = {}
     for driver_id, matches in matched_responses:
         earlier = latest.get(driver_id)
@@ -269,7 +244,7 @@ def recover_driver_vectors(
     vectors: dict[int, RneVector] = {}
     for driver_id in sorted(latest):
         matches = latest[driver_id]
-        if list(matches) == positions:  # honest matching's own order
+        if tuple(matches) == positions:  # honest matching's own order
             payloads = list(matches.values())
         else:
             payloads = [matches.get(pos) for pos in positions]
@@ -331,7 +306,7 @@ class RecoveryReport:
 def run_attack(
     params: BlockParams,
     dim: int,
-    matched_responses: Sequence[tuple[int, Mapping[tuple[int, int], int]]],
+    matched_responses: Iterable[tuple[int, Mapping[tuple[int, int], int]]],
     strict: bool = False,
     index: Mapping[RneVector, tuple[int, int]] | None = None,
 ) -> RecoveryReport:
@@ -342,8 +317,10 @@ def run_attack(
 
     ``matched_responses`` holds ``(driver_id, matches)`` pairs, ``matches``
     being the output of ``ServiceProvider.match_response``: precisely the
-    data the matching party produces while doing its legitimate job.
+    data the matching party produces while doing its legitimate job. The
+    pairs are read once, so any iterable will do.
     """
+    matched_responses = list(matched_responses)
     ledger = DifferenceLedger(params, dim, strict)
     for driver_id, matches in matched_responses:
         ledger.record_matches(driver_id, matches)

@@ -1,7 +1,9 @@
 """Block decomposition of embedding coordinates and payload byte encoding.
 
 Every coordinate is split into ``num_blocks`` little-endian blocks of
-``block_bits`` bits each, with positional weights ``(2**block_bits)**j``.
+``block_bits`` bits each, with positional weights ``(2**block_bits)**j``;
+:class:`BlockParams` owns that layout for every party: the (coordinate,
+block) positions, coordinate-major, their weights and a vector's blocks.
 The quantity that actually travels inside a ciphertext is a weighted
 difference of two blocks, serialized as a fixed 8-byte two's-complement
 integer so that XOR unmasking is bit-exact for every parameter set.
@@ -10,6 +12,7 @@ integer so that XOR unmasking is bit-exact for every parameter set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError
@@ -49,11 +52,33 @@ class BlockParams:
         """Exclusive upper bound on representable coordinates."""
         return 1 << (self.block_bits * self.num_blocks)
 
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Positional weight of each block index, ``base**j``."""
+        return tuple(self.base**j for j in range(self.num_blocks))
+
     def weight(self, block_index: int) -> int:
         """Positional weight of block ``block_index`` (little-endian)."""
         if not 0 <= block_index < self.num_blocks:
             raise ValueError(f"block index {block_index} out of range")
-        return self.base ** block_index
+        return self.weights[block_index]
+
+    def positions(self, dim: int) -> tuple[tuple[int, int], ...]:
+        """Every (coordinate, block index) position of a ``dim``-vector,
+        coordinate-major: the order of :meth:`split` and of every message
+        and match."""
+        return tuple((i, j) for i in range(dim) for j in range(self.num_blocks))
+
+    def split(self, vector: Sequence[int]) -> list[int]:
+        """Every block of ``vector``, flat, in :meth:`positions` order.
+        Raises :func:`decompose`'s :class:`CapacityError` at the first
+        coordinate that does not fit."""
+        if vector and (min(vector) < 0 or max(vector) >= self.capacity):
+            for value in vector:
+                decompose(value, self)
+        bits, mask = self.block_bits, self.base - 1
+        shifts = range(0, bits * self.num_blocks, bits)
+        return [value >> shift & mask for value in vector for shift in shifts]
 
 
 def decompose(value: int, params: BlockParams) -> tuple[int, ...]:

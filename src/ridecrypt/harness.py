@@ -22,7 +22,7 @@ from random import Random
 from typing import Sequence
 
 from .attack import DifferenceLedger, RecoveryReport, embedding_index, run_attack
-from .codec import BlockParams, decompose
+from .codec import BlockParams
 from .crypto import (
     MAX_DIM,
     PRF_CONSTRUCTION,
@@ -106,6 +106,8 @@ def blocks_needed(max_value: int, block_bits: int) -> int:
     """Smallest block count whose capacity covers ``max_value``."""
     if max_value < 0:
         raise ValueError("max_value must be non-negative")
+    if block_bits < 1:
+        raise ValueError(f"block_bits must be >= 1, got {block_bits}")
     return max(1, -(-max(max_value, 1).bit_length() // block_bits))
 
 
@@ -366,7 +368,8 @@ def _recovery_fields(
     """Record fields that score a recovery against the true vectors.
     ``driver_vectors`` is ``None`` when the report recovers no driver
     (merged requests)."""
-    true_blocks = [decompose(coordinate, params) for coordinate in rider_vector]
+    positions = params.positions(len(rider_vector))
+    true_blocks = dict(zip(positions, params.split(rider_vector)))
     return {
         "blocks_total": len(report.unique_at),
         "blocks_recovered": sum(at is not None for at in report.unique_at.values()),
@@ -387,8 +390,8 @@ def _recovery_fields(
         ),
         # Ground truth: every candidate interval contains the true block.
         "intervals_sound": all(
-            lo <= true_blocks[i][j] <= hi
-            for (i, j), (lo, hi) in report.candidates.items()
+            lo <= true_blocks[pos] <= hi
+            for pos, (lo, hi) in report.candidates.items()
         ),
     }
 
@@ -490,11 +493,11 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
                 ),
                 "interval_widths": {
                     f"{i},{j}": hi - lo + 1
-                    for (i, j), (lo, hi) in sorted(report.candidates.items())
+                    for (i, j), (lo, hi) in report.candidates.items()
                 },
                 "unique_at": {
                     f"{i},{j}": at
-                    for (i, j), at in sorted(report.unique_at.items())
+                    for (i, j), at in report.unique_at.items()
                 },
             }
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .codec import PAYLOAD_BYTES, BlockParams, decompose
+from .codec import PAYLOAD_BYTES, BlockParams
 from .crypto import (
     PRF_OUTPUT_BYTES,
     SystemKeys,
@@ -65,9 +65,7 @@ class RideContext:
     def labels(self) -> tuple[tuple[int, int], ...]:
         """Every (coordinate, block index) label, in that order: the order
         of a driver's entries and of an honest match."""
-        return tuple(
-            (i, j) for i in range(self.dim) for j in range(self.params.num_blocks)
-        )
+        return self.params.positions(self.dim)
 
 
 class RiderEntry(NamedTuple):
@@ -158,25 +156,22 @@ def rider_encrypt(
     """
     _check_location(location, ctx)
     params = ctx.params
-    base = params.base
+    base, weights = params.base, params.weights
     zone_id, time_slot = ctx.zone_id, ctx.time_slot
     labels, messages, nonces = [], [], []
-    for i, coordinate in enumerate(location):
-        for j, block in enumerate(decompose(coordinate, params)):
-            nonce = generate_nonce(rng)
-            order = list(range(base))
-            rng.shuffle(order)
-            labels.append((i, j, block, nonce, order))
-            messages += [
-                encode_message(q, i, j, zone_id, time_slot) for q in range(base)
-            ]
-            nonces += [nonce] * base
+    for (i, j), block in zip(ctx.labels, params.split(location)):
+        nonce = generate_nonce(rng)
+        order = list(range(base))
+        rng.shuffle(order)
+        labels.append((i, j, block, nonce, order))
+        messages += [encode_message(q, i, j, zone_id, time_slot) for q in range(base)]
+        nonces += [nonce] * base
     tokens = prf_f_batch(prf_h_batch(keys.match_key, messages), nonces)
     pads = prf_f_batch(prf_h_batch(keys.mask_key, messages), nonces)
     groups = []
     starts = range(0, len(messages), base)
     for start, (i, j, block, nonce, order) in zip(starts, labels):
-        weight = params.weight(j)
+        weight = weights[j]
         entries = []
         for q in order:
             # The pad is the output's first 8 bytes, the low 64 bits of its
@@ -213,12 +208,7 @@ def driver_encrypt(
     """
     _check_location(location, ctx)
     params = ctx.params
-    if min(location) < 0 or max(location) >= params.capacity:
-        for coordinate in location:
-            decompose(coordinate, params)  # raises CapacityError
-    bits, mask = params.block_bits, params.base - 1
-    shifts = range(0, bits * params.num_blocks, bits)
-    blocks = [coordinate >> shift & mask for coordinate in location for shift in shifts]
+    blocks = params.split(location)
     book = session_codebook((keys, ctx))
     if not book:
         book.update((label, [None] * params.base) for label in ctx.labels)
@@ -306,15 +296,15 @@ def sp_compute_distance(
     map in label order, as matching returns it, is summed in runs of
     ``num_blocks`` values.
     """
-    num_blocks = ctx.params.num_blocks
-    if tuple(diffs) == ctx.labels:
+    num_blocks, labels = ctx.params.num_blocks, ctx.labels
+    if tuple(diffs) == labels:
         runs = zip(*[iter(diffs.values())] * num_blocks)
         return max(map(abs, map(sum, runs)))
-    if len(diffs) == ctx.dim * num_blocks:
+    if len(diffs) == len(labels):
         try:
             return max(
-                abs(sum([diffs[i, j] for j in range(num_blocks)]))
-                for i in range(ctx.dim)
+                abs(sum([diffs[pos] for pos in run]))
+                for run in zip(*[iter(labels)] * num_blocks)
             )
         except KeyError:
             pass

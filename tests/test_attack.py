@@ -40,13 +40,12 @@ def honest_matches(params, dim, rider_vector, driver_vector):
 
 
 def differences(ledger):
-    """Each position's set of differences, in row-index order, read back
+    """Each position's set of differences, in position order, read back
     from the ledger's accepted pairs."""
-    seen = [set() for _ in ledger.unique_at]
-    for (coord, block_index), payload in ledger._accepted:
-        slot = coord * ledger.params.num_blocks + block_index
-        seen[slot].add(payload // ledger.params.weight(block_index))
-    return seen
+    seen = {pos: set() for pos in ledger.unique_at}
+    for pos, payload in ledger._accepted:
+        seen[pos].add(payload // ledger.params.weight(pos[1]))
+    return list(seen.values())
 
 
 class TestLedgerRecord:
@@ -115,22 +114,21 @@ class TestLedgerRecord:
         # accepted pairs grew, one per distinct difference at a position,
         # and the open positions shrank.
         after = sizes()
-        assert set(after) == {
-            "_weights", "_lo", "_hi", "_count", "_accepted", "_positions",
-            "unique_at", "_open",
-        }
+        assert set(after) == {"_lo", "_hi", "_count", "_accepted", "unique_at", "_open"}
         accepted = after.pop("_accepted")
         del before["_accepted"]
         assert after.pop("_open") == list(ledger.unique_at.values()).count(None)
         assert before.pop("_open") == len(ledger.unique_at)
         assert after == before
         positions = dim * params.num_blocks
-        assert accepted == sum(ledger._count)
-        assert ledger._count == [len(seen) for seen in differences(ledger)]
+        counts = list(ledger._count.values())
+        assert accepted == sum(counts)
+        assert counts == [len(seen) for seen in differences(ledger)]
         assert accepted <= positions * (2 * params.base - 1)
         for container in (ledger._lo, ledger._hi, ledger._count, ledger.unique_at):
             assert len(container) == positions
-        assert all(count < 2 * params.base for count in ledger._count)
+            assert list(container) == list(params.positions(dim))
+        assert all(count < 2 * params.base for count in counts)
 
 
 def _file(ledger, method, driver_id, matches):
@@ -291,10 +289,10 @@ class TestWholeResponseSteps:
             fault = _fault(ledger.record_matches, driver_id, matches)
             assert fault == _fault(reference.file, matches)
             filed = differences(ledger)
-            for slot, pos in enumerate(reference.positions):
-                assert (ledger._lo[slot], ledger._hi[slot]) == reference.bounds(pos)
-                assert filed[slot] == set(reference.diffs[pos])
-                assert ledger._count[slot] == len(filed[slot])
+            for pos, seen in zip(reference.positions, filed, strict=True):
+                assert (ledger._lo[pos], ledger._hi[pos]) == reference.bounds(pos)
+                assert seen == set(reference.diffs[pos])
+                assert ledger._count[pos] == len(seen)
 
     @given(repeating_feeds())
     def test_feed_equals_the_reference_on_every_prefix(self, case):
@@ -631,6 +629,20 @@ class TestRunAttack:
         for k, (node, ambiguity) in report.driver_nodes.items():
             assert table[node] == table[k]
             assert ambiguity == table.count(table[k])
+
+    def test_one_pass_iterables_give_the_list_report(self):
+        # The attack reads its feed for the rider and again for the
+        # drivers, so a one-pass iterable must recover the drivers too.
+        params, dim = BlockParams(2, 2), 3
+        table = random_vectors(params, dim, 40, seed=5)
+        ids = list(range(len(table)))
+        maps = [honest_matches(params, dim, table[5], vec) for vec in table]
+        index = embedding_index(table)
+        expected = run_attack(params, dim, list(zip(ids, maps)), index=index)
+        assert len(expected.driver_vectors) == len(table)
+        feeds = (iter(list(zip(ids, maps))), zip(ids, maps), (p for p in zip(ids, maps)))
+        for feed in feeds:
+            assert run_attack(params, dim, feed, index=index) == expected
 
 
 class TestIncrementalAttack:

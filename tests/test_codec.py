@@ -14,6 +14,7 @@ from ridecrypt.codec import (
     weighted_difference,
 )
 from ridecrypt.errors import CapacityError
+from ridecrypt.protocol import RideContext
 
 params_strategy = st.builds(
     BlockParams,
@@ -37,6 +38,55 @@ class TestBlockParams:
     def test_weight_index_out_of_range(self):
         with pytest.raises(ValueError):
             BlockParams(2, 4).weight(4)
+
+
+def _capacity_fault(call, *args):
+    """The :class:`CapacityError` message a call raises, or None."""
+    try:
+        call(*args)
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+class TestLayout:
+    """``positions``, ``weights`` and ``split`` against their definitions:
+    the protocol's labels, ``weight`` and per-coordinate ``decompose``."""
+
+    def test_hand_example(self):
+        p = BlockParams(2, 2)
+        assert p.positions(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert p.weights == (1, 4)
+        assert p.split([6, 9]) == [2, 1, 1, 2]
+
+    @given(params=params_strategy, dim=st.integers(1, 4))
+    def test_positions_are_the_context_labels(self, params, dim):
+        ctx = RideContext(0, 0, params, dim)
+        assert params.positions(dim) == ctx.labels
+        assert len(params.positions(dim)) == ctx.total_blocks
+
+    @given(params=params_strategy)
+    def test_weights_are_weight(self, params):
+        assert len(params.weights) == params.num_blocks
+        for j, weight in enumerate(params.weights):
+            assert weight == params.weight(j)
+
+    @given(params=params_strategy, data=st.data())
+    def test_split_is_decompose_concatenated(self, params, data):
+        vector = data.draw(
+            st.lists(st.integers(0, params.capacity - 1), min_size=1, max_size=4)
+        )
+        expected = [block for value in vector for block in decompose(value, params)]
+        assert params.split(vector) == expected
+        assert len(expected) == len(params.positions(len(vector)))
+
+    @given(params=params_strategy, data=st.data())
+    def test_split_faults_as_decompose_at_the_first_misfit(self, params, data):
+        value = st.integers(-2 * params.capacity, 2 * params.capacity)
+        vector = data.draw(st.lists(value, min_size=1, max_size=4))
+        faults = [_capacity_fault(decompose, v, params) for v in vector]
+        first = next((fault for fault in faults if fault), None)
+        assert _capacity_fault(params.split, vector) == first
 
 
 class TestDecompose:

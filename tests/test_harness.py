@@ -67,6 +67,14 @@ class TestAnalytics:
         assert blocks_needed(max_value, bits) == count
         assert (1 << (count * bits)) - 1 >= max_value
 
+    @pytest.mark.parametrize(
+        "max_value,bits,message",
+        [(-1, 2, "max_value must be non-negative"), (5, 0, "block_bits"), (5, -1, "block_bits")],
+    )
+    def test_blocks_needed_rejects(self, max_value, bits, message):
+        with pytest.raises(ValueError, match=message):
+            blocks_needed(max_value, bits)
+
     @given(st.integers(0, 2**62 - 1), st.integers(1, 8))
     def test_blocks_needed_covers_and_is_minimal(self, max_value, bits):
         count = blocks_needed(max_value, bits)

@@ -21,6 +21,7 @@ import pytest
 
 from ridecrypt.cli import build_parser
 from ridecrypt.harness import ExperimentConfig, run_synthetic_sessions
+from test_golden import WORKLOADS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,9 +64,9 @@ def test_worker_arguments_fit_the_harness(perfbench):
         ).validate()
 
 
-@pytest.mark.parametrize("workload", ["sessions_grid", "fleet_synthetic", "city_merge"])
-def test_benchmark_worker_checks_its_run(workload):
-    spec = {"workload": workload, "seed": 505, "workers": 1, "traced": False}
+def run_worker(workload, traced):
+    """One ``perfbench/worker.py`` run at seed 505, checked clean; its JSON."""
+    spec = {"workload": workload, "seed": 505, "workers": 1, "traced": traced}
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"), json.dumps(spec)],
         cwd=ROOT,
@@ -77,6 +78,20 @@ def test_benchmark_worker_checks_its_run(workload):
     out = json.loads(result.stdout.splitlines()[-1])
     assert out["failed"] == 0
     assert out["problems"] == []
+    return out
+
+
+@pytest.mark.parametrize("workload", ["sessions_grid", "fleet_synthetic", "city_merge"])
+def test_benchmark_worker_checks_its_run(workload):
+    run_worker(workload, traced=False)
+
+
+def test_traced_worker_keeps_the_report_and_counts_unique_checks():
+    # Tracing wraps the library from outside: the report must not change,
+    # and the ledger's re-checks must reach the traced is_unique.
+    out = run_worker("sessions_grid", traced=True)
+    assert out["report_sha256"] == dict(WORKLOADS)["sessions_grid"]
+    assert out["spans"]["attack.is_unique"]["calls"] > 0
 
 
 DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py", "03_responder_counts.py"]
