@@ -11,22 +11,17 @@ extra protocol messages are needed; the input here is exactly the output of
 honest matching.
 
 One tracker, :class:`DifferenceLedger`, holds what the provider learns
-about the rider, and nothing per driver. It is built with its uniqueness
-rule, files each matched response with ``record_matches``, notes after how
-many responses each position's rider block became unique, and produces a
-:class:`RecoveryReport` with ``report``. Keyed by (coordinate, block)
+about the rider, and nothing per driver. Keyed by (coordinate, block)
 position, it keeps the running candidate interval, narrowed by each
 difference ``d`` to ``[max(lo, -d), min(hi, top - d)]``, and a count of
 the (position, payload) pairs accepted there; a payload is one-to-one with
 its difference at a position, so that is the number of distinct
-differences. Only ``interval`` and ``is_unique`` read them, each in O(1).
-Each pair is filed once, and honest drivers send at most ``2**(l+1) - 1``
-distinct payloads per position, so the ledger's size is bounded by the
-position count, however many responses were filed. A response whose pairs
-were all filed before costs one subset test, and only the open positions a
-response changed are re-checked; filing a response costs at most
-O(positions), and recovering the drivers O(drivers * positions), one pass
-over each driver's matches, so an attack is linear in what it is fed.
+differences. Each pair is filed once, and honest drivers send at most
+``2**(l+1) - 1`` distinct payloads per position, so the ledger's size is
+bounded by the position count, however many responses were filed. Filing
+a response costs at most O(positions), and recovering the drivers
+O(drivers * positions), one pass over each driver's matches, so an attack
+is linear in what it is fed.
 """
 
 from __future__ import annotations
@@ -73,7 +68,8 @@ class DifferenceLedger:
     ``unique_at`` records, per position, after how many responses the
     rider block became unique under that rule. Uniqueness never reverts
     as differences accumulate, so each response re-checks only the
-    positions still open. Single writer per session."""
+    positions it changed whose ``unique_at`` is still ``None``. Single
+    writer per session."""
 
     def __init__(self, params: BlockParams, dim: int, strict: bool = False) -> None:
         if dim < 1:
@@ -91,8 +87,6 @@ class DifferenceLedger:
         # Every ((coord, block), payload) pair filed so far.
         self._accepted: set[tuple[tuple[int, int], int]] = set()
         self.unique_at: dict[tuple[int, int], int | None] = dict.fromkeys(positions)
-        # The positions not yet unique.
-        self._open = set(positions)
 
     def _check(self, coord: int, block_index: int) -> None:
         """Reject a position outside the ledger."""
@@ -106,7 +100,8 @@ class DifferenceLedger:
     ) -> None:
         """File one driver's ``ServiceProvider.match_response`` output, in
         the map's order, count the response, then re-check in position
-        order, through :meth:`is_unique`, the open positions it changed.
+        order, through :meth:`is_unique`, the positions it changed that
+        are not yet unique.
 
         Each payload must be an exact multiple of its position weight and
         normalize to an in-range difference; the first entry that fails
@@ -121,8 +116,8 @@ class DifferenceLedger:
         Filing a (label, payload) pair is idempotent and its checks depend
         on nothing else, so a pair accepted before is skipped: a response
         whose pairs were all seen costs one subset test and changes no
-        position, and the pairs kept number at most ``2**(l+1) - 1`` per
-        position."""
+        position, as most of fleet_synthetic's thousand do, and the pairs
+        kept number at most ``2**(l+1) - 1`` per position."""
         accepted = self._accepted
         if accepted.issuperset(matches.items()):
             self.responses += 1
@@ -155,10 +150,9 @@ class DifferenceLedger:
             accepted.add(pair)
             changed.append(pos)
         self.responses += 1
-        for pos in sorted(self._open.intersection(changed)):
-            if self.is_unique(*pos):
+        for pos in sorted(changed):
+            if self.unique_at[pos] is None and self.is_unique(*pos):
                 self.unique_at[pos] = self.responses
-                self._open.remove(pos)
 
     def interval(self, coord: int, block_index: int) -> tuple[int, int]:
         """Current candidate interval; the full range if nothing was seen.
@@ -210,8 +204,7 @@ def recover_rider_vector(
     candidates = {pos: ledger.interval(*pos) for pos in ledger.unique_at}
     if None in ledger.unique_at.values():
         return None, candidates
-    blocks = iter([lo for lo, _ in candidates.values()])
-    runs = zip(*[blocks] * ledger.params.num_blocks)  # one coordinate's blocks each
+    runs = ledger.params.runs([lo for lo, _ in candidates.values()])
     return tuple(recompose(run, ledger.params) for run in runs), candidates
 
 
@@ -228,12 +221,14 @@ def recover_driver_vectors(
     ``matched_responses`` holds ``(driver_id, matches)`` pairs whose
     payloads :meth:`DifferenceLedger.record_matches` accepted; a repeated
     driver's later payload wins, position by position. Drivers are handled
-    in id order, each in one pass over its matches. A driver that misses a
+    in id order, each in one pass over its matches; a map in position order,
+    as matching returns it, is read as it stands (fleet_synthetic's thousand
+    drivers), any other by a lookup per position. A driver that misses a
     position, or whose block leaves the block range, raises
     :class:`LedgerFault`; of several, the lowest driver id is reported, and
     within it the first position.
     """
-    num_blocks, top = params.num_blocks, params.base - 1
+    top = params.base - 1
     positions = params.positions(len(rider_vector))
     rider_blocks = params.split(rider_vector)
     weights = params.weights * len(rider_vector)
@@ -257,8 +252,7 @@ def recover_driver_vectors(
             raise LedgerFault(
                 f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
             )
-        runs = zip(*[iter(payloads)] * num_blocks)  # one coordinate's payloads each
-        vectors[driver_id] = tuple(map(add, rider_vector, map(sum, runs)))
+        vectors[driver_id] = tuple(map(add, rider_vector, map(sum, params.runs(payloads))))
     return vectors
 
 

@@ -3,7 +3,8 @@
 Every coordinate is split into ``num_blocks`` little-endian blocks of
 ``block_bits`` bits each, with positional weights ``(2**block_bits)**j``;
 :class:`BlockParams` owns that layout for every party: the (coordinate,
-block) positions, coordinate-major, their weights and a vector's blocks.
+block) positions, coordinate-major, their weights, a vector's blocks
+and the per-coordinate runs of any values laid out in that order.
 The quantity that actually travels inside a ciphertext is a weighted
 difference of two blocks, serialized as a fixed 8-byte two's-complement
 integer so that XOR unmasking is bit-exact for every parameter set.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
 
@@ -79,6 +80,11 @@ class BlockParams:
         bits, mask = self.block_bits, self.base - 1
         shifts = range(0, bits * self.num_blocks, bits)
         return [value >> shift & mask for value in vector for shift in shifts]
+
+    def runs(self, values: Iterable) -> Iterator[tuple]:
+        """``values`` in :meth:`positions` order, one coordinate's
+        ``num_blocks`` at a time; a partial last run raises ``ValueError``."""
+        return zip(*[iter(values)] * self.num_blocks, strict=True)
 
 
 def decompose(value: int, params: BlockParams) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ from .protocol import (
 from .roadnet import (
     RneVector,
     RoadNetwork,
+    check_grid,
     generate_grid_network,
     load_network,
     rne_distance,
@@ -250,12 +251,7 @@ class ExperimentConfig:
             return
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must be in 1..{MAX_DIM}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
-        if self.weight_range[0] > self.weight_range[1]:
-            raise ValueError("empty weight range")
-        if self.weight_range[0] < 0:
-            raise ValueError("edge weights must be non-negative")
+        check_grid(self.rows, self.cols, self.weight_range)
 
     @property
     def resolved_block_bits(self) -> int:

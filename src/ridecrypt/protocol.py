@@ -205,6 +205,8 @@ def driver_encrypt(
     scope's codebook for ``(keys, ctx)`` holds, per position in label
     order, a row of ``2**l`` slots by block value: a response is one read
     of a slot per row, and only empty slots are filled, in position order.
+    That pays off on fleet_synthetic and sessions_grid, where many drivers
+    share a context.
     """
     _check_location(location, ctx)
     params = ctx.params
@@ -292,22 +294,15 @@ def sp_compute_distance(
 
     The map must hold exactly the ``dim * num_blocks`` positions: as its
     keys are distinct, the right count and a hit for every in-range
-    position leave no room for a missing, extra or out-of-range one. A
-    map in label order, as matching returns it, is summed in runs of
-    ``num_blocks`` values.
+    position leave no room for a missing, extra or out-of-range one.
     """
-    num_blocks, labels = ctx.params.num_blocks, ctx.labels
-    if tuple(diffs) == labels:
-        runs = zip(*[iter(diffs.values())] * num_blocks)
-        return max(map(abs, map(sum, runs)))
-    if len(diffs) == len(labels):
+    if len(diffs) == len(ctx.labels):
         try:
-            return max(
-                abs(sum([diffs[pos] for pos in run]))
-                for run in zip(*[iter(labels)] * num_blocks)
-            )
+            payloads = [diffs[pos] for pos in ctx.labels]
         except KeyError:
             pass
+        else:
+            return max(map(abs, map(sum, ctx.params.runs(payloads))))
     raise ValueError("difference map does not cover every (coord, block) position")
 
 
@@ -332,8 +327,9 @@ class ServiceProvider:
         The request is indexed on its first match, and each distinct driver
         pair is unmasked once per request. A response whose pairs were all
         unmasked before, at distinct labels covering every position, is
-        answered from the cache in one step; anything new or wrong goes
-        through the per-entry loop, which alone fills the cache and raises.
+        answered from the cache in one step, as most of fleet_synthetic's
+        thousand are; anything new or wrong goes through the per-entry
+        loop, which alone fills the cache and raises.
         """
         ctx = self.context
         # Parties of one session share the context object; identity spares

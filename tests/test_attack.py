@@ -110,15 +110,12 @@ class TestLedgerRecord:
         rider, *drivers = random_vectors(params, dim, 1001, seed=3)
         for k, vec in enumerate(drivers):
             ledger.record_matches(k, honest_matches(params, dim, rider, vec))
-        # 1,000 driver ids later, no container has appeared, only the
-        # accepted pairs grew, one per distinct difference at a position,
-        # and the open positions shrank.
+        # 1,000 driver ids later, no container has appeared, and only the
+        # accepted pairs grew, one per distinct difference at a position.
         after = sizes()
-        assert set(after) == {"_lo", "_hi", "_count", "_accepted", "unique_at", "_open"}
+        assert set(after) == {"_lo", "_hi", "_count", "_accepted", "unique_at"}
         accepted = after.pop("_accepted")
         del before["_accepted"]
-        assert after.pop("_open") == list(ledger.unique_at.values()).count(None)
-        assert before.pop("_open") == len(ledger.unique_at)
         assert after == before
         positions = dim * params.num_blocks
         counts = list(ledger._count.values())
@@ -524,6 +521,37 @@ class TestRecoverDriverVectors:
                 (k, honest_matches(params, dim, rider, vec)) for k, vec in drivers.items()
             ]
             assert recover_driver_vectors(params, rider, matched) == drivers
+
+    @given(
+        params=st.builds(BlockParams, st.integers(1, 4), st.integers(1, 3)),
+        dim=st.integers(2, 3),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_maps_out_of_label_order(self, params, dim, count, seed, data):
+        # Matching returns label order; any other order takes the lookup
+        # per position and must agree with it, faults included.
+        rider, *drivers = random_vectors(params, dim, count + 1, seed)
+        ordered = [
+            (k, honest_matches(params, dim, rider, vec)) for k, vec in enumerate(drivers)
+        ]
+        permuted = [
+            (k, dict(data.draw(st.permutations(list(m.items()))))) for k, m in ordered
+        ]
+        reversed_ = [(k, dict(reversed(m.items()))) for k, m in ordered]
+        expected = recover_driver_vectors(params, rider, ordered)
+        assert expected == dict(enumerate(drivers))
+        assert recover_driver_vectors(params, rider, permuted) == expected
+        assert recover_driver_vectors(params, rider, reversed_) == expected
+
+        k = data.draw(st.integers(0, count - 1))
+        items = list(permuted[k][1].items())
+        del items[data.draw(st.integers(0, len(items) - 1))]
+        permuted[k] = (k, dict(items))
+        incomplete = f"driver {k} has an incomplete difference set"
+        with pytest.raises(LedgerFault, match=incomplete):
+            recover_driver_vectors(params, rider, permuted)
 
 
 class TestDeanonymize:

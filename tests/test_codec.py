@@ -88,6 +88,24 @@ class TestLayout:
         first = next((fault for fault in faults if fault), None)
         assert _capacity_fault(params.split, vector) == first
 
+    @given(params=params_strategy, data=st.data())
+    def test_runs_of_split_recompose_to_the_vector(self, params, data):
+        vector = data.draw(
+            st.lists(st.integers(0, params.capacity - 1), min_size=1, max_size=4)
+        )
+        runs = list(params.runs(params.split(vector)))
+        assert [recompose(run, params) for run in runs] == vector
+        if params.num_blocks > 1:
+            with pytest.raises(ValueError):
+                list(params.runs(params.split(vector) + [0]))
+
+    @given(params=params_strategy, dim=st.integers(1, 4))
+    def test_runs_of_positions_are_each_coordinates_blocks(self, params, dim):
+        runs = list(params.runs(params.positions(dim)))
+        assert len(runs) == dim
+        blocks = range(params.num_blocks)
+        assert runs == [tuple((i, j) for j in blocks) for i in range(dim)]
+
 
 class TestDecompose:
     def test_hand_example(self):

@@ -174,6 +174,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig(mode="end_to_end", workers=0)
 
+    @pytest.mark.parametrize(
+        "rows,cols,weight_range",
+        [(0, 6, (1, 9)), (6, 0, (1, 9)), (6, 6, (5, 2)), (6, 6, (-1, 5))],
+    )
+    def test_grid_rule_is_the_generators(self, rows, cols, weight_range):
+        # A config that builds is a grid the generator can build: both
+        # reject the same arguments with the same message.
+        with pytest.raises(ValueError) as generated:
+            generate_grid_network(rows, cols, weight_range)
+        with pytest.raises(ValueError) as configured:
+            ExperimentConfig(
+                mode="end_to_end", rows=rows, cols=cols, weight_range=weight_range
+            )
+        assert str(configured.value) == str(generated.value)
+
     def test_workers_bounded_by_a_fixed_constant(self):
         # Building a config starts no thread; only its bound is checked.
         assert ExperimentConfig(mode="end_to_end", workers=MAX_WORKERS).workers == MAX_WORKERS

@@ -94,6 +94,37 @@ def test_traced_worker_keeps_the_report_and_counts_unique_checks():
     assert out["spans"]["attack.is_unique"]["calls"] > 0
 
 
+FAILING_AND_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_fails_alone(tmp_path):
+    # Under the repo's pytest settings a falsified @given test is reported
+    # as one failure; the session goes on to run the next test.
+    (tmp_path / "test_pair.py").write_text(FAILING_AND_PASSING)
+    config = ["-c", os.path.join(ROOT, "pyproject.toml"), "--rootdir", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *config, "test_pair.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.returncode == 1, result.stdout
+    assert "1 failed, 1 passed" in result.stdout
+
+
 DEMOS = ["01_encrypted_matching.py", "02_location_recovery.py", "03_responder_counts.py"]
 
 
