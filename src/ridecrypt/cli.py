@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Writes a machine-readable JSONL report (identical bytes for identical
-arguments) and prints a human summary to stdout. Usage errors exit with
-status 2, runtime failures with 1.
+arguments) and prints a human summary to stdout; after a session mode, the
+summary says over how many PRF outputs the run was certified collision-free
+and how many it left unchecked. Usage errors exit with status 2, runtime
+failures with 1.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import crypto
 from .crypto import MAX_DIM
 from .errors import CapacityError, LedgerFault, ProtocolFault
 from .harness import (
@@ -136,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
 
     path = out or default_report_path(config.mode)
+    watchdog = crypto.watchdog
+    tracked, untracked = watchdog.tracked, watchdog.untracked
     try:
         records = run_experiment(config)
         write_report(path, records)
@@ -148,6 +153,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = _summarize(records)
     if summary:
         print(summary)
+    if config.mode != "table1":
+        print(
+            f"PRF certificate: {watchdog.tracked - tracked} outputs certified, "
+            f"{watchdog.untracked - untracked} unchecked"
+        )
     print(f"report written to {path}")
     return 0
 

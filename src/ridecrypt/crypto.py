@@ -8,6 +8,9 @@ certifies that no two distinct inputs produced equal outputs during a run,
 which is the assumption the matching step leans on. An input is the (key,
 message) pair the HMAC computes, under either PRF, and its fingerprint
 comes from the kernel's own inner digest, so certifying costs no extra hash.
+The certificate is packed: 24 bytes of output and fingerprint per certified
+output, in ``bytearray`` buckets picked by the output's first bytes, so a
+long run keeps about 28 to 33 B per output where a ``dict`` kept about 150 B.
 
 Within one matching session every driver's inner input and every outer
 input of the matching party is one the rider already evaluated. Inside a
@@ -30,10 +33,13 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from hashlib import sha256
+from operator import add
 from typing import Hashable, Iterator, Sequence
 
 from .errors import PrfCollisionError
@@ -47,6 +53,15 @@ MAX_DIM = 1 << 16
 
 #: Recorded in experiment reports so runs are reproducible elsewhere.
 PRF_CONSTRUCTION = "HMAC-SHA256/128"
+
+
+#: A certificate record: the output, then its input's 8-byte fingerprint.
+RECORD_BYTES = PRF_OUTPUT_BYTES + 8
+
+#: ``_LOW_BITS[k]`` keeps the low ``k`` bits of each byte under ``translate``.
+_LOW_BITS = [bytes(b & ((1 << k) - 1) for b in range(256)) for k in range(8)]
+#: Where the i-th least significant byte of a native 4-byte word sits.
+_WORD_BYTES = range(4) if sys.byteorder == "little" else range(3, -1, -1)
 
 
 class CollisionWatchdog:
@@ -70,30 +85,84 @@ class CollisionWatchdog:
     ``session_memo()`` scope an input is observed only the first time it
     is evaluated, which leaves ``tracked`` and the certificate unchanged
     because an identical repeat never adds or checks anything.
+
+    The certificate is packed: each output is one 24-byte record, the
+    16-byte output and then its fingerprint, appended to the ``bytearray``
+    bucket that the output's first bytes pick, and looked up with
+    ``bytearray.find`` at record-aligned offsets. That is about 28 B per
+    tracked output where a ``dict`` took about 150 B. The table grows
+    fourfold once buckets average more than ``_MAX_LOAD`` records, so after
+    a growth they average 8 to 32. It starts at ``_START_BUCKETS``, about
+    64 KB, which holds a 60-session sessions_grid run's 30,720 outputs
+    without refiling any.
     """
 
     CAPACITY = 10_000_000
+    _START_BUCKETS = 1024
+    _MAX_LOAD = 32
+    _GROWTH_BITS = 2
+    #: Old buckets refiled per step of a growth, which bounds its copy.
+    _GROWTH_CHUNK = 256
 
-    __slots__ = ("evaluations", "collisions", "untracked", "enabled", "_seen")
+    __slots__ = (
+        "evaluations", "collisions", "untracked", "tracked", "enabled",
+        "_buckets", "_bits",
+    )
 
     def __init__(self) -> None:
         self.evaluations = 0
         self.collisions = 0
         self.untracked = 0
+        self.tracked = 0
         self.enabled = True
-        self._seen: dict[bytes, bytes] = {}
+        self._buckets = [bytearray() for _ in range(self._START_BUCKETS)]
+        self._bits = self._START_BUCKETS.bit_length() - 1
 
-    @property
-    def tracked(self) -> int:
-        return len(self._seen)
+    def _bucket_indices(self, packed: bytes, stride: int) -> list[int]:
+        """The bucket of each output in ``packed``, one every ``stride``
+        bytes: its first bytes as a little-endian number, cut to the
+        table's bits. HMAC outputs are uniform, so these bits are too.
+        Slicing and ``translate`` do the work for the whole batch at once."""
+        words = bytearray(4 * (len(packed) // stride))
+        bits = self._bits
+        for i in range(-(-bits // 8)):
+            column = packed[i::stride]
+            if bits < 8 * (i + 1):
+                column = column.translate(_LOW_BITS[bits - 8 * i])
+            words[_WORD_BYTES[i]::4] = column
+        return memoryview(words).cast("I").tolist()
+
+    def _grow(self) -> None:
+        """Refile every record into a table ``2**_GROWTH_BITS`` times as
+        large, a chunk of old buckets at a time, freeing each as it goes."""
+        old = self._buckets
+        self._bits += self._GROWTH_BITS
+        new = self._buckets = [bytearray() for _ in range(len(old) << self._GROWTH_BITS)]
+        chunk = self._GROWTH_CHUNK
+        while old:
+            packed = b"".join(old[-chunk:])
+            del old[-chunk:]
+            buckets = map(new.__getitem__, self._bucket_indices(packed, RECORD_BYTES))
+            starts = range(0, len(packed), RECORD_BYTES)
+            records = (packed[i : i + RECORD_BYTES] for i in starts)
+            deque(map(bytearray.extend, buckets, records), 0)
 
     def observe(self, domain: bytes, fingerprint: bytes, output: bytes) -> None:
         self.evaluations += 1
-        if not self.enabled or len(self._seen) >= self.CAPACITY:
+        if not self.enabled or self.tracked >= self.CAPACITY:
             self.untracked += 1
             return
-        previous = self._seen.setdefault(output, fingerprint)
-        if previous != fingerprint:
+        bucket = self._buckets[self._bucket_indices(output, PRF_OUTPUT_BYTES)[0]]
+        at = bucket.find(output)
+        while at > 0 and at % RECORD_BYTES:  # a hit across two records is none
+            at = bucket.find(output, at + 1)
+        if at < 0:
+            bucket += output
+            bucket += fingerprint
+            self.tracked += 1
+            if self.tracked > self._MAX_LOAD << self._bits:
+                self._grow()
+        elif bucket[at + PRF_OUTPUT_BYTES : at + RECORD_BYTES] != fingerprint:
             self.collisions += 1
             raise PrfCollisionError(
                 f"distinct PRF inputs produced equal output {output.hex()} "
@@ -107,19 +176,27 @@ class CollisionWatchdog:
         inputs, in one step when every output is new and fits, as in the
         rider batches that sessions_grid and city_merge are made of.
 
-        The membership test runs over ``seen.keys()``, a set-like view, so
-        it walks the batch, never the certificate."""
-        seen = self._seen
-        new = dict(zip(outputs, fingerprints))
-        if (
-            self.enabled
-            and len(new) == len(outputs)
-            and len(seen) + len(new) <= self.CAPACITY
-            and new.keys().isdisjoint(seen.keys())
-        ):
-            self.evaluations += len(new)
-            seen.update(new)
-            return
+        The step reads only the buckets of the batch's own outputs, each
+        with one ``find``, and appends the batch's records to them."""
+        count = len(outputs)
+        if count != len(fingerprints):
+            raise ValueError(
+                f"{count} PRF outputs but {len(fingerprints)} fingerprints"
+            )
+        if self.enabled and count <= self.CAPACITY - self.tracked:
+            records = list(map(add, outputs, fingerprints))
+            indices = self._bucket_indices(b"".join(records), RECORD_BYTES)
+            buckets = list(map(self._buckets.__getitem__, indices))
+            if (
+                max(map(bytearray.find, buckets, outputs), default=-1) < 0
+                and len(set(outputs)) == count
+            ):
+                deque(map(bytearray.extend, buckets, records), 0)
+                self.evaluations += count
+                self.tracked += count
+                if self.tracked > self._MAX_LOAD << self._bits:
+                    self._grow()
+                return
         for output, fingerprint in zip(outputs, fingerprints):
             self.observe(domain, fingerprint, output)
 

@@ -250,6 +250,19 @@ def _token_table(group: RiderBlockGroup) -> dict[bytes, tuple[bytes, ...]]:
     return table
 
 
+def _malformed(entry: object) -> ProtocolFault:
+    """The fault for a response entry that is not a :class:`DriverEntry` of
+    hashable fields and two byte strings, named by its label if it has one."""
+    if isinstance(entry, (tuple, list)):
+        return ProtocolFault(
+            f"driver ciphertext at {tuple(entry[:2])} is not a DriverEntry "
+            "of two byte strings"
+        )
+    return ProtocolFault(
+        f"driver ciphertext of type {type(entry).__name__} is not a DriverEntry"
+    )
+
+
 def _unmask(
     group: RiderBlockGroup, table: dict[bytes, tuple[bytes, ...]], entry: DriverEntry
 ) -> int | None:
@@ -321,8 +334,9 @@ class ServiceProvider:
         """Match every driver pair to its rider group and unmask all payloads.
 
         Returns the complete map (coordinate, block index) -> signed payload.
-        A request or response from another session, and an unmatched or
-        duplicated pair, are protocol faults.
+        A request or response from another session, an unmatched or
+        duplicated pair, and an entry that is not a :class:`DriverEntry` of
+        two byte strings are protocol faults.
 
         The request is indexed on its first match, and each distinct driver
         pair is unmasked once per request. A response whose pairs were all
@@ -350,13 +364,21 @@ class ServiceProvider:
                 return diffs
         diffs = {}
         for entry in entries:
+            if entry.__class__ is not DriverEntry:
+                raise _malformed(entry)
             label = entry[:2]
+            try:
+                item = payloads.get(entry)
+            except TypeError:  # a field that cannot be hashed
+                raise _malformed(entry) from None
             # A label reaches diffs only through its group, so testing for a
             # duplicate before the group raises the same fault as after it.
             if label in diffs:
                 raise ProtocolFault(f"duplicate driver ciphertext at {label}")
-            item = payloads.get(entry)
             if item is None:
+                # A cached pair passed this check when it was first unmasked.
+                if not (isinstance(entry.c1, bytes) and isinstance(entry.c2, bytes)):
+                    raise _malformed(entry)
                 found = groups.get(label)
                 if found is None:
                     raise ProtocolFault(

@@ -2,15 +2,55 @@
 
 Everything here is deliberately naive and built from primitives one layer
 below whatever it checks: all-pairs relaxation instead of Dijkstra, direct
-PRF-chain decryption with both keys instead of the matching pipeline, and
-plain feasibility scans instead of interval arithmetic.
+PRF-chain decryption with both keys instead of the matching pipeline, plain
+feasibility scans instead of interval arithmetic, and a ``dict`` in place
+of the packed PRF certificate.
 """
 
 from __future__ import annotations
 
 from ridecrypt.codec import PAYLOAD_BYTES, decode_signed
-from ridecrypt.crypto import encode_message, prf_f, prf_h
+from ridecrypt.crypto import CollisionWatchdog, encode_message, prf_f, prf_h
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
+from ridecrypt.protocol import DriverEntry
+
+
+class ReferenceWatchdog:
+    """``crypto.CollisionWatchdog`` as a ``dict`` from output to fingerprint,
+    one observation at a time: the same counters, the same fault at the
+    same call, about 150 B per tracked output."""
+
+    CAPACITY = CollisionWatchdog.CAPACITY
+
+    def __init__(self):
+        self.evaluations = self.collisions = self.untracked = 0
+        self.enabled = True
+        self.seen = {}
+
+    @property
+    def tracked(self):
+        return len(self.seen)
+
+    def observe(self, domain, fingerprint, output):
+        self.evaluations += 1
+        if not self.enabled or len(self.seen) >= self.CAPACITY:
+            self.untracked += 1
+            return
+        previous = self.seen.setdefault(output, fingerprint)
+        if previous != fingerprint:
+            self.collisions += 1
+            raise PrfCollisionError(
+                f"distinct PRF inputs produced equal output {output.hex()} "
+                f"under {domain.decode()} after {self.evaluations} evaluations"
+            )
+
+    def file(self, domain, outputs, fingerprints):
+        if len(outputs) != len(fingerprints):
+            raise ValueError(
+                f"{len(outputs)} PRF outputs but {len(fingerprints)} fingerprints"
+            )
+        for output, fingerprint in zip(outputs, fingerprints):
+            self.observe(domain, fingerprint, output)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -73,11 +113,25 @@ def decrypt_request(request, keys) -> dict[tuple[int, int], int]:
     return blocks
 
 
+def malformed_entry(entry) -> ProtocolFault:
+    """The fault ``match_response`` raises for an entry that is not a
+    ``DriverEntry`` of hashable fields and two byte strings."""
+    if isinstance(entry, (tuple, list)):
+        return ProtocolFault(
+            f"driver ciphertext at {tuple(entry[:2])} is not a DriverEntry "
+            "of two byte strings"
+        )
+    return ProtocolFault(
+        f"driver ciphertext of type {type(entry).__name__} is not a DriverEntry"
+    )
+
+
 def reference_match(request, response, context) -> dict[tuple[int, int], int]:
     """``ServiceProvider.match_response`` one entry at a time, with no index
     and no cache: each driver pair is tried against every entry of its
     rider group and unmasked with ``xor_bytes``. Raises the same faults, in
-    the same order."""
+    the same order: a malformed entry first, then a hashable one with
+    fields that are not byte strings after the duplicate check."""
     if request.context != context:
         raise ProtocolFault("request belongs to a different session")
     if response.context != context:
@@ -96,9 +150,17 @@ def reference_match(request, response, context) -> dict[tuple[int, int], int]:
             )
     diffs = {}
     for entry in response.entries:
+        if type(entry) is not DriverEntry:
+            raise malformed_entry(entry)
+        try:
+            hash(entry)
+        except TypeError:
+            raise malformed_entry(entry) from None
         label = (entry.coord, entry.block_index)
         if label in diffs:
             raise ProtocolFault(f"duplicate driver ciphertext at {label}")
+        if not isinstance(entry.c1, bytes) or not isinstance(entry.c2, bytes):
+            raise malformed_entry(entry)
         group = groups.get(label)
         if group is None:
             raise ProtocolFault(f"driver ciphertext at {label} has no rider group")

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from ridecrypt import cli, harness
+from ridecrypt import cli, crypto, harness
 from ridecrypt.cli import build_parser, main
-from ridecrypt.crypto import MAX_DIM
+from ridecrypt.crypto import MAX_DIM, CollisionWatchdog
 from ridecrypt.errors import LedgerFault, PrfCollisionError, ProtocolFault
 from ridecrypt.harness import ExperimentConfig
 from ridecrypt.protocol import ServiceProvider
@@ -178,6 +178,39 @@ class TestSessionModes:
         assert excinfo.value.code == 2
         assert "network_file does not take" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
+
+    def test_summary_says_what_was_certified(self, tmp_path, monkeypatch, capsys):
+        local = CollisionWatchdog()
+        monkeypatch.setattr(crypto, "watchdog", local)
+        out = tmp_path / "e.jsonl"
+        assert main(["--mode", "end_to_end", *self.SMALL, "--out", str(out)]) == 0
+        aggregate = read_records(out)[-1]
+        # The rider's 4*n*m*2^l inputs cover every other party's, per session.
+        per_session = 4 * aggregate["n"] * aggregate["m"] * 2 ** aggregate["l"]
+        certified = aggregate["sessions"] * per_session
+        assert local.tracked == certified
+        stdout = capsys.readouterr().out
+        assert f"PRF certificate: {certified} outputs certified, 0 unchecked\n" in stdout
+
+    def test_summary_counts_what_a_full_certificate_left_unchecked(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(CollisionWatchdog, "CAPACITY", 50)
+        local = CollisionWatchdog()
+        monkeypatch.setattr(crypto, "watchdog", local)
+        out = tmp_path / "p.jsonl"
+        assert main(["--mode", "protocol_only", *self.SMALL, "--out", str(out)]) == 0
+        assert local.untracked > 0
+        assert (
+            f"PRF certificate: 50 outputs certified, {local.untracked} unchecked"
+            in capsys.readouterr().out
+        )
+
+    def test_table1_prints_no_certificate(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        argv = ["--mode", "table1", "--l", "1", "--trials", "100", "--out", str(out)]
+        assert main(argv) == 0
+        assert "PRF certificate" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
     def test_typed_fault_is_runtime_error(self, fault, tmp_path, monkeypatch, capsys):

@@ -2,12 +2,13 @@ import hashlib
 import hmac
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import xor_bytes
+from oracles import ReferenceWatchdog, xor_bytes
 from ridecrypt import crypto
 from ridecrypt.codec import BlockParams
 from ridecrypt.crypto import (
@@ -440,16 +441,160 @@ class TestBatchFiling:
         assert memo == {}
         assert crypto._memo.get() is None
 
-    def test_filing_never_iterates_the_certificate(self, fresh_watchdog):
-        class Unwalkable(dict):
-            def __iter__(self):
-                raise AssertionError("the certificate was iterated")
+    def test_filing_touches_only_its_own_buckets(self, monkeypatch):
+        # Each filing reads only the buckets its outputs pick; only a growth
+        # step, which swaps in a new table, may walk the old one.
+        class Recording(list):
+            def __init__(self, buckets):
+                super().__init__(buckets)
+                self.read, self.walked = set(), False
 
-        fresh_watchdog._seen = Unwalkable()
+            def __getitem__(self, index):
+                if isinstance(index, int):
+                    self.read.add(index)
+                else:
+                    self.walked = True
+                return super().__getitem__(index)
+
+            def __iter__(self):
+                self.walked = True
+                return super().__iter__()
+
+        monkeypatch.setattr(CollisionWatchdog, "_START_BUCKETS", 16)
+        local = CollisionWatchdog()
+        monkeypatch.setattr(crypto, "watchdog", local)
+        file = CollisionWatchdog.file
+        steps = []
+
+        def checked(watchdog, domain, outputs, fingerprints):
+            recording = watchdog._buckets = Recording(watchdog._buckets)
+            own = watchdog._bucket_indices(b"".join(outputs), PRF_OUTPUT_BYTES)
+            file(watchdog, domain, outputs, fingerprints)
+            grew = watchdog._buckets is not recording
+            if not grew:
+                assert not recording.walked and recording.read <= set(own)
+                watchdog._buckets = list.copy(recording)
+            steps.append(grew)
+
+        monkeypatch.setattr(CollisionWatchdog, "file", checked)
         # A session's batches file into a certificate both smaller and
-        # larger than themselves; a repeated batch overlaps it.
+        # larger than themselves; a long batch grows it; a repeated batch
+        # overlaps it.
         TestSessionMemo().session(slot=1)
+        prf_h_batch(self.KEY, [i.to_bytes(2, "big") for i in range(600)])
         prf_h_batch(self.KEY, [b"one", b"two"])
         prf_h_batch(self.KEY, [b"one", b"two"])
-        assert fresh_watchdog.tracked == TestSessionMemo.FLOOR + 2
-        assert fresh_watchdog.collisions == 0
+        assert local.tracked == TestSessionMemo.FLOOR + 602
+        assert local.collisions == 0
+        assert steps.count(True) == 1 and steps.count(False) > 4
+
+
+def one_hot(size):
+    """``size`` zero bytes, at most one of them 1: equal outputs, and an
+    output that straddles two records of its bucket, turn up often."""
+    return st.integers(0, size).map(lambda k: (bytes(k) + b"\x01").ljust(size, b"\0")[:size])
+
+
+#: One watchdog call: observe or file pairs of the drawn outputs and
+#: prints, file ``n`` fresh outputs (enough to grow the table), or switch
+#: the watchdog on or off.
+WATCHDOG_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 5), st.integers(0, 2)),
+        st.tuples(
+            st.just("file"),
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), max_size=8),
+        ),
+        st.tuples(st.just("fresh"), st.integers(0, 16) | st.integers(0, 600)),
+        st.tuples(st.just("enabled"), st.booleans()),
+    ),
+    max_size=25,
+)
+
+
+class TestPackedCertificate:
+    """The packed certificate against the ``dict`` one in ``oracles``."""
+
+    @given(
+        st.lists(one_hot(PRF_OUTPUT_BYTES), min_size=6, max_size=6),
+        st.lists(one_hot(8), min_size=3, max_size=3),
+        st.integers(1, 24) | st.just(CollisionWatchdog.CAPACITY),
+        WATCHDOG_CALLS,
+    )
+    def test_equals_the_reference(self, outputs, prints, capacity, calls):
+        class Packed(CollisionWatchdog):
+            CAPACITY = capacity
+            _START_BUCKETS = 16
+
+        class Reference(ReferenceWatchdog):
+            CAPACITY = capacity
+
+        fresh = random.Random(capacity)
+        watchdogs = Packed(), Reference()
+        for call in calls:
+            kind, *args = call
+            if kind == "fresh":
+                batch = [fresh.randbytes(PRF_OUTPUT_BYTES) for _ in range(args[0])]
+                args = (batch, [fresh.randbytes(8) for _ in batch])
+            elif kind == "file":
+                args = ([outputs[o] for o, _ in args[0]], [prints[f] for _, f in args[0]])
+            elif kind == "observe":
+                args = (prints[args[1]], outputs[args[0]])
+            results = []
+            for watchdog in watchdogs:
+                if kind == "enabled":
+                    watchdog.enabled = args[0]
+                    results.append(None)
+                    continue
+                method = watchdog.observe if kind == "observe" else watchdog.file
+                try:
+                    method(b"H", *args)
+                    results.append(None)
+                except PrfCollisionError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            packed, reference = (
+                (w.evaluations, w.collisions, w.untracked, w.tracked) for w in watchdogs
+            )
+            assert packed == reference
+
+    def test_growth_keeps_every_record(self, monkeypatch):
+        monkeypatch.setattr(CollisionWatchdog, "_START_BUCKETS", 16)
+        rng = random.Random(7)
+        outputs = [rng.randbytes(PRF_OUTPUT_BYTES) for _ in range(3000)]
+        prints = [rng.randbytes(8) for _ in outputs]
+        local = CollisionWatchdog()
+        for start in range(0, len(outputs), 100):
+            local.file(b"H", outputs[start : start + 100], prints[start : start + 100])
+        assert len(local._buckets) == 16 << 2 * CollisionWatchdog._GROWTH_BITS
+        for output, fp in zip(outputs, prints):
+            local.observe(b"F", fp, output)
+            with pytest.raises(PrfCollisionError, match=output.hex()):
+                local.observe(b"F", bytes(8), output)
+        assert (local.tracked, local.collisions) == (3000, 3000)
+
+    def test_mismatched_batch_is_refused(self):
+        local = CollisionWatchdog()
+        with pytest.raises(ValueError, match="2 PRF outputs but 1 fingerprints"):
+            local.file(b"H", [b"a" * 16, b"b" * 16], [b"f" * 8])
+        assert (local.evaluations, local.tracked) == (0, 0)
+
+    def test_retains_at_most_40_bytes_per_output(self):
+        # 100,000 fresh outputs filed 128 at a time, each batch dropped
+        # after filing: what stays is the certificate (a dict: about 150 B).
+        rng = random.Random(25)
+        total = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            local = CollisionWatchdog()
+            for start in range(0, total, 128):
+                size = min(128, total - start)
+                outputs = [rng.randbytes(PRF_OUTPUT_BYTES) for _ in range(size)]
+                local.file(b"H", outputs, [rng.randbytes(8) for _ in outputs])
+                del outputs
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert local.tracked == total
+        assert retained <= 40 * total

@@ -429,6 +429,29 @@ class TestMatchIndex:
         with pytest.raises(ProtocolFault, match=r"\(7, 0\) has no rider group"):
             reference_match(request, forged, ctx)
 
+    @pytest.mark.parametrize(
+        "forge, fault",
+        [
+            (tuple, r"at \(0, 1\) is not a DriverEntry"),
+            (lambda e: e._replace(c1=5), r"at \(0, 1\) is not a DriverEntry"),
+            (lambda e: e._replace(c2="x" * 16), r"at \(0, 1\) is not a DriverEntry"),
+            (list, r"at \(0, 1\) is not a DriverEntry"),
+            (lambda e: e._replace(c1=e.c1[:5]), r"at \(0, 1\) matched no rider entry"),
+            (lambda e: None, "of type NoneType is not a DriverEntry"),
+        ],
+        ids=["tuple", "int-c1", "str-c2", "list", "short-c1", "none"],
+    )
+    def test_malformed_driver_entry_is_a_named_fault(self, forge, fault):
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        first, second, *rest = response.entries
+        forged = DriverResponse(0, ctx, (first, forge(second), *rest))
+        with pytest.raises(ProtocolFault, match=fault):
+            match_all(request, forged)
+        assert _outcome(match_all, request, forged) == _outcome(
+            reference_match, request, forged, ctx
+        )
+
     def test_duplicate_driver_label_is_a_fault(self):
         ctx = make_ctx()
         request, response = self._honest(ctx)
