@@ -5,9 +5,11 @@ Every run is reproducible from (config, seed). Randomness is derived
 per purpose through a keyed hash of the master seed, so a session's
 outcome does not depend on how many sessions ran before it, and each
 fixed-size chunk of table1 trials draws from its own seed. Every run is
-serial: sessions in index order, table1 chunk by chunk. ``workers`` is
-range-checked and otherwise unused, so reports are byte-identical at any
-worker count.
+serial: table1 chunk by chunk, and sessions in index order through one
+loop that matches each session and runs the attack step chosen once per
+run (``run_attack`` per session, one ``DifferenceLedger`` across merged
+requests, or none). ``workers`` is range-checked and otherwise unused, so
+reports are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from random import Random
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .attack import DifferenceLedger, RecoveryReport, embedding_index, run_attack
 from .codec import BlockParams
@@ -309,20 +312,6 @@ def _session_params(config: ExperimentConfig, net: RoadNetwork) -> BlockParams:
     return params
 
 
-def _naming_session(build):
-    """Wrap a per-session record builder: a runtime fault keeps its type and
-    gains the session it came from, which with the mode and seed is enough
-    to reproduce it."""
-
-    def one_session(s: int) -> dict:
-        try:
-            return build(s)
-        except (LedgerFault, ProtocolFault) as exc:
-            raise type(exc)(f"session {s}: {exc}") from exc
-
-    return one_session
-
-
 def _session_matches(
     ctx: RideContext,
     keys: SystemKeys,
@@ -353,6 +342,35 @@ def _session_matches(
             (k, sp.match_response(request, driver_encrypt(k, vector, keys, ctx)))
             for k, vector in enumerate(driver_vectors)
         ]
+
+
+def _rounds(
+    sessions: int,
+    seed: int,
+    tag: str,
+    locate: Callable[[int], tuple],
+    attack: Callable[[list], RecoveryReport] | None,
+) -> Iterator[tuple]:
+    """Yield a run's sessions, in index order, as ``(s, located, matched,
+    report)``. ``locate(s)`` places session ``s``: its tuple starts with
+    the ``RideContext``, the rider's vector and the drivers' vectors.
+    ``matched`` comes from :func:`_session_matches` under the seed path
+    ``(tag, s)`` and is emptied when the next session starts, so a run
+    holds one session's matches. ``report`` is ``attack(matched)``, or
+    ``None`` without an attack step. A runtime fault keeps its type and
+    gains the session it came from, which with the mode and seed is
+    enough to reproduce it."""
+    keys = issue_system_keys(derive_seed(seed, "keys"))
+    for s in range(sessions):
+        try:
+            located = locate(s)
+            ctx, rider_vector, driver_vectors = located[:3]
+            matched = _session_matches(ctx, keys, rider_vector, driver_vectors, seed, (tag, s))
+            report = None if attack is None else attack(matched)
+        except (LedgerFault, ProtocolFault) as exc:
+            raise type(exc)(f"session {s}: {exc}") from exc
+        yield s, located, matched, report
+        matched.clear()
 
 
 def _recovery_fields(
@@ -397,6 +415,22 @@ def _count(records: Sequence[dict], key: str) -> int:
     return sum(1 for r in records if r[key])
 
 
+def _aggregate(
+    mode: str, records: Sequence[dict], num_drivers: int, params: BlockParams, dim: int
+) -> dict:
+    """The aggregate fields every session run reports."""
+    return {
+        "record": "aggregate",
+        "schema": SCHEMA_VERSION,
+        "mode": mode,
+        "sessions": len(records),
+        "num_drivers": num_drivers,
+        **_report_fields(params),
+        "n": dim,
+        "prf": PRF_CONSTRUCTION,
+    }
+
+
 def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the session modes: full protocol per session, plus the recovery
     phase in ``end_to_end`` mode. Returns (session records, aggregate)."""
@@ -407,36 +441,42 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     # The embedding first: its landmark sweeps also bound the diameter.
     table = net.embedding_table()
     params = _session_params(config, net)
-    keys = issue_system_keys(derive_seed(config.seed, "keys"))
-    zone = derive_seed(config.seed, "zone") % 2**32
-    sessions = config.resolved_trials
     drivers = config.resolved_drivers
-    attack_phase = config.mode == "end_to_end"
-    index = embedding_index(table) if attack_phase else None
+    merged = config.merge_requests
     seed = config.seed
+    zone = derive_seed(seed, "zone") % 2**32
 
     def random_node(*path) -> int:
         return Random(derive_seed(seed, *path)).randrange(net.num_nodes)
 
-    # With merged requests the rider is fixed and one ledger files every
-    # session's responses, reporting on the rider after each session.
-    merged = fixed_rider = None
-    if config.merge_requests:
-        merged = DifferenceLedger(params, dim, config.strict_lemma)
+    # The run's attack step, chosen once: none in protocol_only, else
+    # run_attack on each session, or with merged requests one ledger that
+    # files every session's responses and reports on the rider after each.
+    attack = fixed_rider = None
+    index = embedding_index(table) if config.mode == "end_to_end" else None
+    if merged:
         fixed_rider = random_node("rider-node")
+        ledger = DifferenceLedger(params, dim, config.strict_lemma)
 
-    @_naming_session
-    def session_record(s: int) -> dict:
+        def attack(matched):
+            for k, matches in matched:
+                ledger.record_matches(k, matches)
+            return ledger.report(index)
+
+    elif index is not None:
+        attack = partial(run_attack, params, dim, strict=config.strict_lemma, index=index)
+
+    def locate(s: int) -> tuple:
         ctx = RideContext(zone, s % 2**32, params, dim)
-        rider_node = fixed_rider if merged else random_node("session", s, "rider-node")
-        driver_nodes = [
-            random_node("session", s, "driver-node", k) for k in range(drivers)
-        ]
-        rider_vector = table[rider_node]
-        driver_vectors = [table[node] for node in driver_nodes]
-        matched = _session_matches(
-            ctx, keys, rider_vector, driver_vectors, seed, ("session", s)
-        )
+        rider = fixed_rider if merged else random_node("session", s, "rider-node")
+        nodes = [random_node("session", s, "driver-node", k) for k in range(drivers)]
+        return ctx, table[rider], [table[node] for node in nodes], rider, nodes
+
+    records = []
+    for s, located, matched, report in _rounds(
+        config.resolved_trials, seed, "session", locate, attack
+    ):
+        ctx, rider_vector, driver_vectors, rider_node, driver_nodes = located
         encrypted = [sp_compute_distance(matches, ctx) for _, matches in matched]
         plaintext = [rne_distance(rider_vector, vec) for vec in driver_vectors]
         # min keeps the first minimum: the lowest id wins a tie.
@@ -455,76 +495,49 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
             "plaintext_best": plain_best,
             "selection_matches": selected == plain_best,
         }
-        if not attack_phase:
-            return record
-
-        if merged:
-            for k, matches in matched:
-                merged.record_matches(k, matches)
-            report = merged.report(index)
-        else:
-            report = run_attack(params, dim, matched, config.strict_lemma, index)
+        records.append(record)
+        if report is None:
+            continue
+        # A merged report recovers no driver, so it scores none; a report
+        # names driver nodes only once it recovered the rider.
         record.update(
             _recovery_fields(
                 report, rider_vector, None if merged else driver_vectors, params
-            )
+            ),
+            recovered_rider_node=report.rider_node,
+            rider_node_exact=(
+                None if report.rider_node is None else report.rider_node == rider_node
+            ),
+            rider_node_ambiguity=report.rider_ambiguity,
+            driver_nodes_exact=(
+                None
+                if not report.driver_nodes
+                else sum(
+                    1
+                    for k, (node, _amb) in report.driver_nodes.items()
+                    if node == driver_nodes[k]
+                )
+            ),
+            interval_widths={
+                f"{i},{j}": hi - lo + 1 for (i, j), (lo, hi) in report.candidates.items()
+            },
+            unique_at={f"{i},{j}": at for (i, j), at in report.unique_at.items()},
         )
-        record.update(
-            {
-                "recovered_rider_node": report.rider_node,
-                "rider_node_exact": (
-                    None
-                    if report.rider_node is None
-                    else report.rider_node == rider_node
-                ),
-                "rider_node_ambiguity": report.rider_ambiguity,
-                "driver_nodes_exact": (
-                    None
-                    if merged or report.rider_vector is None
-                    else sum(
-                        1
-                        for k, (node, _amb) in report.driver_nodes.items()
-                        if node == driver_nodes[k]
-                    )
-                ),
-                "interval_widths": {
-                    f"{i},{j}": hi - lo + 1
-                    for (i, j), (lo, hi) in report.candidates.items()
-                },
-                "unique_at": {
-                    f"{i},{j}": at
-                    for (i, j), at in report.unique_at.items()
-                },
-            }
-        )
-        return record
 
-    records = [session_record(s) for s in range(sessions)]
-
-    aggregate = {
-        "record": "aggregate",
-        "schema": SCHEMA_VERSION,
-        "mode": config.mode,
-        "sessions": sessions,
-        "num_drivers": drivers,
-        "network_nodes": net.num_nodes,
-        "network_diameter": net.diameter(),
-        "l": params.block_bits,
-        "m": params.num_blocks,
-        "n": dim,
-        "selection_matches": _count(records, "selection_matches"),
-        "distances_match": _count(records, "distances_match"),
-        "prf": PRF_CONSTRUCTION,
-    }
-    if attack_phase:
+    aggregate = _aggregate(config.mode, records, drivers, params, dim)
+    aggregate.update(
+        network_nodes=net.num_nodes,
+        network_diameter=net.diameter(),
+        selection_matches=_count(records, "selection_matches"),
+        distances_match=_count(records, "distances_match"),
+    )
+    if attack is not None:
         aggregate.update(
-            {
-                "sessions_fully_recovered": _count(records, "rider_vector_recovered"),
-                "sessions_rider_exact": _count(records, "rider_vector_exact"),
-                "sessions_sound": _count(records, "intervals_sound"),
-                "strict_lemma": config.strict_lemma,
-                "merge_requests": config.merge_requests,
-            }
+            sessions_fully_recovered=_count(records, "rider_vector_recovered"),
+            sessions_rider_exact=_count(records, "rider_vector_exact"),
+            sessions_sound=_count(records, "intervals_sound"),
+            strict_lemma=config.strict_lemma,
+            merge_requests=merged,
         )
     return records, aggregate
 
@@ -546,52 +559,37 @@ def run_synthetic_sessions(
     compares the recovery against ground truth.
     """
     params = BlockParams(block_bits, num_blocks)
-    keys = issue_system_keys(derive_seed(seed, "keys"))
 
-    @_naming_session
-    def session_record(s: int) -> dict:
+    def locate(s: int) -> tuple:
         ctx = RideContext(SYNTHETIC_ZONE, s % 2**32, params, dim)
         rng_locations = Random(derive_seed(seed, "synthetic", s, "locations"))
         rider_vector, *driver_vectors = (
             tuple(rng_locations.randrange(params.capacity) for _ in range(dim))
             for _ in range(num_drivers + 1)
         )
-        matched = _session_matches(
-            ctx, keys, rider_vector, driver_vectors, seed, ("synthetic", s)
-        )
-        report = run_attack(params, dim, matched, strict=strict)
-        return {
-            "record": "synthetic_session",
-            "schema": SCHEMA_VERSION,
-            "index": s,
-            **_recovery_fields(report, rider_vector, driver_vectors, params),
-            "all_drivers_exact": (
-                report.rider_vector is not None
-                and all(
-                    report.driver_vectors.get(k) == vec
-                    for k, vec in enumerate(driver_vectors)
-                )
-            ),
-        }
+        return ctx, rider_vector, driver_vectors
 
-    records = [session_record(s) for s in range(sessions)]
-    aggregate = {
-        "record": "aggregate",
-        "schema": SCHEMA_VERSION,
-        "mode": "synthetic",
-        "sessions": sessions,
-        "num_drivers": num_drivers,
-        "l": block_bits,
-        "m": num_blocks,
-        "n": dim,
-        "strict_lemma": strict,
-        "sessions_fully_recovered": _count(records, "rider_vector_recovered"),
-        "sessions_all_exact": sum(
+    attack = partial(run_attack, params, dim, strict=strict)
+    records = []
+    for s, (_ctx, rider_vector, driver_vectors), _matched, report in _rounds(
+        sessions, seed, "synthetic", locate, attack
+    ):
+        record = {"record": "synthetic_session", "schema": SCHEMA_VERSION, "index": s}
+        record.update(_recovery_fields(report, rider_vector, driver_vectors, params))
+        # Every driver is recovered with the rider, or none is.
+        record["all_drivers_exact"] = (
+            record["rider_vector_recovered"] and record["driver_vectors_exact"] == num_drivers
+        )
+        records.append(record)
+    aggregate = _aggregate("synthetic", records, num_drivers, params, dim)
+    aggregate.update(
+        strict_lemma=strict,
+        sessions_fully_recovered=_count(records, "rider_vector_recovered"),
+        sessions_all_exact=sum(
             1 for r in records if r["rider_vector_exact"] and r["all_drivers_exact"]
         ),
-        "sessions_sound": _count(records, "intervals_sound"),
-        "prf": PRF_CONSTRUCTION,
-    }
+        sessions_sound=_count(records, "intervals_sound"),
+    )
     return records, aggregate
 
 

@@ -339,11 +339,11 @@ class ServiceProvider:
         two byte strings are protocol faults.
 
         The request is indexed on its first match, and each distinct driver
-        pair is unmasked once per request. A response whose pairs were all
-        unmasked before, at distinct labels covering every position, is
-        answered from the cache in one step, as most of fleet_synthetic's
-        thousand are; anything new or wrong goes through the per-entry
-        loop, which alone fills the cache and raises.
+        pair is unmasked once per request. A response of ``DriverEntry``
+        pairs all unmasked before, at distinct labels covering every
+        position, is answered from the cache in one step, as most of
+        fleet_synthetic's thousand are; anything new or wrong goes through
+        the per-entry loop, which alone fills the cache and raises.
         """
         ctx = self.context
         # Parties of one session share the context object; identity spares
@@ -358,7 +358,9 @@ class ServiceProvider:
             cached = list(map(payloads.get, entries))
         except TypeError:  # an unhashable entry: the loop raises in order
             cached = [None]
-        if None not in cached:
+        # A cached pair equals any tuple with its fields, so the one step
+        # also checks the entry class, as the loop does entry by entry.
+        if None not in cached and {*map(type, entries)} == {DriverEntry}:
             diffs = dict(cached)
             if len(diffs) == len(entries) == ctx.total_blocks:
                 return diffs

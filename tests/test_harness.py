@@ -27,6 +27,7 @@ from ridecrypt.harness import (
     run_table1,
     simulate_coverage_draws,
 )
+from ridecrypt.attack import DifferenceLedger, RecoveryReport
 from ridecrypt.codec import BlockParams
 from ridecrypt.crypto import issue_system_keys
 from ridecrypt.protocol import RideContext, ServiceProvider
@@ -209,6 +210,17 @@ class TestConfigValidation:
         assert ExperimentConfig(mode="table1").weight_range is None
 
 
+#: Config overrides of each session mode: its attack step is none,
+#: run_attack per session, or one ledger across sessions.
+SESSION_MODES = {
+    "protocol_only": {},
+    "end_to_end": dict(mode="end_to_end"),
+    "merged": dict(mode="end_to_end", merge_requests=True),
+}
+
+FAULTS = [ProtocolFault, PrfCollisionError, LedgerFault]
+
+
 def small_config(**overrides):
     base = dict(
         mode="protocol_only",
@@ -332,8 +344,17 @@ class TestSessionRuns:
             r["rider_node"] == records[0]["rider_node"] for r in records
         )
 
-    @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
-    def test_session_fault_keeps_its_type(self, fault, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode, fault",
+        [(mode, fault) for mode in SESSION_MODES for fault in FAULTS],
+        # small_config runs protocol_only, so its ids name the fault alone.
+        ids=[
+            fault.__name__ if mode == "protocol_only" else f"{mode}-{fault.__name__}"
+            for mode in SESSION_MODES
+            for fault in FAULTS
+        ],
+    )
+    def test_session_fault_keeps_its_type(self, mode, fault, monkeypatch):
         honest = ServiceProvider.match_response
 
         def faulty(sp, request, response):
@@ -343,8 +364,25 @@ class TestSessionRuns:
 
         monkeypatch.setattr(ServiceProvider, "match_response", faulty)
         with pytest.raises(fault, match="^session 1: injected$") as excinfo:
-            run_sessions(small_config())
+            run_sessions(small_config(**SESSION_MODES[mode]))
         assert type(excinfo.value) is fault
+
+    @pytest.mark.parametrize("mode", ["end_to_end", "merged"])
+    def test_attack_step_fault_names_its_session(self, mode, monkeypatch):
+        # Three drivers a session: the fourth response filed is session 1's
+        # first, whether each session builds its ledger or all share one.
+        honest = DifferenceLedger.record_matches
+        filed = []
+
+        def faulty(ledger, driver_id, matches):
+            filed.append(driver_id)
+            if len(filed) == 4:
+                raise LedgerFault("injected")
+            return honest(ledger, driver_id, matches)
+
+        monkeypatch.setattr(DifferenceLedger, "record_matches", faulty)
+        with pytest.raises(LedgerFault, match="^session 1: injected$"):
+            run_sessions(small_config(**SESSION_MODES[mode]))
 
 
 class TestSyntheticSessions:
@@ -370,7 +408,7 @@ class TestSyntheticSessions:
         )
         assert aggregate["sessions_fully_recovered"] == 0
 
-    @pytest.mark.parametrize("fault", [ProtocolFault, PrfCollisionError, LedgerFault])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_session_fault_keeps_its_type(self, fault, monkeypatch):
         honest = ServiceProvider.match_response
 
@@ -385,6 +423,51 @@ class TestSyntheticSessions:
                 block_bits=1, num_blocks=1, dim=1, num_drivers=2, sessions=3
             )
         assert type(excinfo.value) is fault
+
+
+class TestAttackStep:
+    """The session loop runs whatever attack step a run chose. A step
+    defined here, standing in for ``run_attack``, goes through both
+    location sources with the loop unchanged."""
+
+    # One position, pinned after 7 responses: fields no real session of
+    # these runs reports.
+    REPORT = RecoveryReport(candidates={}, unique_at={(0, 0): 7}, rider_vector=None)
+
+    RUNS = {
+        "network": lambda: run_sessions(small_config(mode="end_to_end", trials=3)),
+        "synthetic": lambda: run_synthetic_sessions(
+            block_bits=1, num_blocks=2, dim=2, num_drivers=3, sessions=3
+        ),
+    }
+
+    @pytest.mark.parametrize("source", RUNS)
+    def test_a_new_step_sees_each_session_once(self, source, monkeypatch):
+        produced, fed = [], []
+        session_matches = harness._session_matches
+
+        def recording(*args):
+            produced.append(session_matches(*args))
+            return produced[-1]
+
+        def step(params, dim, matched, strict=False, index=None):
+            # Called once per session, on the matches that session made.
+            fed.append((len(produced), matched is produced[-1], len(matched)))
+            return self.REPORT
+
+        monkeypatch.setattr(harness, "_session_matches", recording)
+        monkeypatch.setattr(harness, "run_attack", step)
+        records, aggregate = self.RUNS[source]()
+        assert aggregate["sessions"] == 3
+        assert fed == [(1, True, 3), (2, True, 3), (3, True, 3)]
+        # The loop empties each session's matches when the next one starts.
+        assert produced == [[], [], []]
+        for record in records:
+            assert record["blocks_total"] == record["blocks_recovered"] == 1
+            assert record["rider_vector_recovered"] is False
+            assert record["driver_vectors_exact"] == 0
+        if source == "network":
+            assert all(r["unique_at"] == {"0,0": 7} for r in records)
 
 
 class TestReports:

@@ -452,6 +452,22 @@ class TestMatchIndex:
             reference_match, request, forged, ctx
         )
 
+    def test_tuple_replay_is_a_fault_before_and_after_caching(self):
+        # Each tuple equals a pair the honest response cached, so only the
+        # entry class tells the replay apart, in the one-step path too.
+        ctx = make_ctx()
+        request, response = self._honest(ctx)
+        replay = DriverResponse(0, ctx, tuple(map(tuple, response.entries)))
+        fault = r"at \(0, 0\) is not a DriverEntry"
+        with pytest.raises(ProtocolFault, match=fault):
+            match_all(request, replay)
+        match_all(request, response)  # every pair is now cached
+        with pytest.raises(ProtocolFault, match=fault):
+            match_all(request, replay)
+        assert _outcome(match_all, request, replay) == _outcome(
+            reference_match, request, replay, ctx
+        )
+
     def test_duplicate_driver_label_is_a_fault(self):
         ctx = make_ctx()
         request, response = self._honest(ctx)
@@ -545,7 +561,8 @@ def _outcome(call, *args):
 
 
 #: How a drawn response departs from honest: shuffled or duplicated labels,
-#: a mixed pair, an unknown label, a missing entry, another session.
+#: a mixed pair, an unknown label, a missing entry, another session, or its
+#: honest pairs replayed as plain tuples.
 FORGERIES = [
     "shuffled",
     "duplicated",
@@ -554,6 +571,7 @@ FORGERIES = [
     "dropped",
     "other context",
     "other context's pairs",
+    "tuple replay",
 ]
 
 
@@ -599,6 +617,8 @@ def provider_sessions(draw):
             context = other
         elif forgery == "other context's pairs":
             entries = list(driver_encrypt(k, driver, KEYS, other).entries)
+        elif forgery == "tuple replay":
+            entries = [tuple(e) for e in entries]
         responses.append(DriverResponse(k, context, tuple(entries)))
     return ctx, rider, responses
 

@@ -88,10 +88,13 @@ def test_benchmark_worker_checks_its_run(workload):
 
 def test_traced_worker_keeps_the_report_and_counts_unique_checks():
     # Tracing wraps the library from outside: the report must not change,
-    # and the ledger's re-checks must reach the traced is_unique.
+    # the ledger's re-checks must reach the traced is_unique, and each of
+    # the 60 sessions must attack through the traced run_attack, so
+    # attack.run_s times the attack step.
     out = run_worker("sessions_grid", traced=True)
     assert out["report_sha256"] == dict(WORKLOADS)["sessions_grid"]
     assert out["spans"]["attack.is_unique"]["calls"] > 0
+    assert out["spans"]["attack.run_attack"]["calls"] == 60
 
 
 FAILING_AND_PASSING = """
