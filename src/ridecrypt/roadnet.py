@@ -6,6 +6,14 @@ the shortest-path distance from ``u`` to the nearest member of subset i;
 the Chebyshev distance between two such vectors never exceeds the true
 road distance, which is what makes it usable as a matching metric.
 
+Every sweep is a Dijkstra run over a bucket queue: a dict from each
+tentative distance to the nodes that reached it, and a heap of the
+distinct distances (after Dial, CACM 1969, but keyed by a dict instead of
+an array indexed by distance). Nodes at equal distance share one heap
+entry, and memory stays linear in the network however large the weights.
+The embedding is built column by column, one sweep per landmark subset,
+and transposed into rows in one pass.
+
 The network diameter, which sizes the block count ``m``, is exact but not
 all-pairs: each Dijkstra sweep from a node v yields its eccentricity e, and
 the triangle inequality bounds every other node w's eccentricity between
@@ -13,8 +21,9 @@ the triangle inequality bounds every other node w's eccentricity between
 cannot beat the largest eccentricity seen so far are dropped, so a grid
 usually needs a few dozen sweeps instead of one per node, and never more
 than one per node. Once the embedding is built, the column of each
-singleton landmark subset is such a sweep, and the bounding starts from
-those, which takes a fifth off the benchmark's sessions_grid set-up.
+singleton landmark subset is such a sweep; the bounds of every node are
+seeded from all of those columns in one pass, and the bounding sweeps
+start from there.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 RneVector = tuple[int, ...]
 
@@ -56,6 +65,7 @@ class RoadNetwork:
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
         self._adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
+        self._weight_sum = sum(w for _, _, w in self.edges)
 
         subsets = []
         for subset in landmark_subsets:
@@ -95,34 +105,53 @@ class RoadNetwork:
         return count == self.num_nodes
 
     def distances_from(self, sources: Iterable[int]) -> list[int]:
-        """Multi-source Dijkstra; distance from each node to the nearest source."""
-        dist = [_UNREACHED] * self.num_nodes
-        heap = []
-        for s in sources:
+        """Multi-source Dijkstra; distance from each node to the nearest source.
+
+        The queue is a dict from each tentative distance to the nodes that
+        reached it, plus a heap of the distinct distances, so a sweep pushes
+        once per new distance rather than once per relaxation. A node sits
+        in one bucket per improvement and is settled from the bucket that
+        matches its final distance; a zero-weight edge appends to the
+        bucket being settled. Memory is linear in the network whatever the
+        weights: nothing is indexed by distance.
+        """
+        start = list(sources)
+        for s in start:
             if not 0 <= s < self.num_nodes:
                 raise ValueError(f"unknown node {s}")
+        if not start:
+            return [_UNREACHED] * self.num_nodes
+        # The network is connected, so a source reaches every node. Until
+        # then a node reads one more than the weight sum, which no path
+        # reaches, and a relaxation needs a single comparison.
+        dist = [self._weight_sum + 1] * self.num_nodes
+        for s in start:
             dist[s] = 0
-            heap.append((0, s))
-        heapq.heapify(heap)
+        adjacency = self._adjacency
+        buckets = {0: start}
+        heap = [0]
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in self._adjacency[u]:
-                nd = d + w
-                if dist[v] == _UNREACHED or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+            d = heapq.heappop(heap)
+            for u in buckets[d]:
+                if dist[u] == d:  # else improved since it was bucketed here
+                    for v, w in adjacency[u]:
+                        nd = d + w
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            bucket = buckets.get(nd)
+                            if bucket is None:
+                                buckets[nd] = [v]
+                                heapq.heappush(heap, nd)
+                            else:
+                                bucket.append(v)
+            del buckets[d]
         return dist
 
     def embedding_table(self) -> tuple[RneVector, ...]:
         """Embeddings of every node, built once and cached."""
         if self._embedding is None:
-            per_subset = [self.distances_from(s) for s in self.landmark_subsets]
-            self._embedding = tuple(
-                tuple(per_subset[i][node] for i in range(self.dim))
-                for node in range(self.num_nodes)
-            )
+            columns = [self.distances_from(s) for s in self.landmark_subsets]
+            self._embedding = tuple(zip(*columns))
         return self._embedding
 
     def diameter(self) -> int:
@@ -132,44 +161,56 @@ class RoadNetwork:
             self._diameter = self._bounding_diameter(self._embedding_sweeps())
         return self._diameter
 
-    def _embedding_sweeps(self) -> Iterator[list[int]]:
+    def _embedding_sweeps(self) -> list[Sequence[int]]:
         """The single-source sweeps the embedding already ran, none before
         it is built: the column of each singleton subset. A multi-node
         subset's column is a distance to the nearest member, not a sweep."""
-        if self._embedding is not None:
-            for i, subset in enumerate(self.landmark_subsets):
-                if len(subset) == 1:
-                    yield [row[i] for row in self._embedding]
+        if self._embedding is None:
+            return []
+        columns = zip(*self._embedding)
+        return [c for c, s in zip(columns, self.landmark_subsets) if len(s) == 1]
 
-    def _bounding_diameter(self, sweeps: Iterator[list[int]]) -> int:
+    def _bounding_diameter(self, seeds: list[Sequence[int]]) -> int:
         # Eccentricity bounding (Takes & Kosters, CIKM 2011). The diameter
         # is the largest eccentricity, so a node whose upper bound is at most
         # the largest eccentricity seen so far cannot raise it and is closed.
-        # Every sweep closes its own source, so after the given sweeps there
+        # Every sweep closes its own source, so after the seed sweeps there
         # are at most N more.
-        lower = [0] * self.num_nodes
-        upper = [math.inf] * self.num_nodes
-        open_nodes = list(range(self.num_nodes))
-        best = 0
-        smallest_ecc = math.inf
+        #
+        # The seed sweeps bound every node in one pass. A node is open after
+        # it exactly when it would be after taking the seeds one at a time:
+        # its upper bound only falls and the largest eccentricity only rises.
+        eccs = [max(dist) for dist in seeds]
+        best = max(eccs, default=0)
+        smallest_ecc = min(eccs, default=math.inf)
+        if best >= 2 * smallest_ecc:
+            return best  # no pair is farther apart than 2 * ecc(v) for any v
+        if seeds:
+            farther = (map(e.__sub__, dist) for e, dist in zip(eccs, seeds))
+            lower = list(map(max, *seeds, *farther))
+            around = (map(e.__add__, dist) for e, dist in zip(eccs, seeds))
+            upper = list(map(min, zip(*around)))
+            open_nodes = [w for w, up in enumerate(upper) if up > best]
+        else:
+            lower = [0] * self.num_nodes
+            upper = [math.inf] * self.num_nodes
+            open_nodes = list(range(self.num_nodes))
         pick_upper = True
         while open_nodes:
-            dist = next(sweeps, None)
-            if dist is None:
-                # Alternate between the most promising and the most central
-                # open node; ties go to the lowest id, so the sweeps are
-                # deterministic.
-                if pick_upper:
-                    v = max(open_nodes, key=lambda w: (upper[w], -w))
-                else:
-                    v = min(open_nodes, key=lambda w: (lower[w], w))
-                pick_upper = not pick_upper
-                dist = self.distances_from([v])
+            # Alternate between the most promising and the most central
+            # open node; ties go to the lowest id, so the sweeps are
+            # deterministic.
+            if pick_upper:
+                v = max(open_nodes, key=lambda w: (upper[w], -w))
+            else:
+                v = min(open_nodes, key=lambda w: (lower[w], w))
+            pick_upper = not pick_upper
+            dist = self.distances_from([v])
             ecc = max(dist)
             best = max(best, ecc)
             smallest_ecc = min(smallest_ecc, ecc)
             if best >= 2 * smallest_ecc:
-                break  # no pair is farther apart than 2 * ecc(v) for any v
+                break
             still_open = []
             for w in open_nodes:
                 d = dist[w]

@@ -1,4 +1,7 @@
 import itertools
+import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +21,28 @@ from ridecrypt.roadnet import (
 )
 
 vectors = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
+
+
+@st.composite
+def connected_networks(draw, weight=st.integers(0, 9)):
+    """A connected graph: a path, star, cycle or random spanning tree, plus
+    extra edges that may repeat a pair or loop on one node. Weights are
+    drawn from ``weight`` and include 0, so distinct nodes can be at
+    distance 0."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["tree", "path", "star", "cycle"]))
+    if shape == "path":
+        pairs = [(u - 1, u) for u in range(1, n)]
+    elif shape == "star":
+        pairs = [(0, u) for u in range(1, n)]
+    elif shape == "cycle":
+        pairs = [(u - 1, u) for u in range(1, n)] + ([(n - 1, 0)] if n > 2 else [])
+    else:
+        pairs = [(draw(st.integers(0, u - 1)), u) for u in range(1, n)]
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = [(u, v, draw(weight)) for u, v in pairs]
+    return RoadNetwork(n, edges, [[0]])
 
 
 class TestGridGeneration:
@@ -111,27 +136,39 @@ class TestShortestPaths:
         with pytest.raises(ValueError, match="unknown node 9"):
             net.distances_from([9])
 
+    @given(connected_networks(weight=st.integers(0, 10**12)), st.data())
+    def test_multi_source_agrees_with_relaxation_oracle(self, net, data):
+        # Each node's distance is its nearest source's row of the oracle;
+        # with no source, every node is unreached.
+        sources = data.draw(st.lists(st.integers(0, net.num_nodes - 1), max_size=3))
+        oracle = floyd_warshall(net)
+        nearest = [min((oracle[s][u] for s in sources), default=-1) for u in range(net.num_nodes)]
+        assert net.distances_from(sources) == nearest
 
-@st.composite
-def connected_networks(draw):
-    """A connected graph: a path, star, cycle or random spanning tree, plus
-    extra edges that may repeat a pair or loop on one node. Weights include
-    0, so distinct nodes can be at distance 0."""
-    n = draw(st.integers(1, 12))
-    shape = draw(st.sampled_from(["tree", "path", "star", "cycle"]))
-    weight = st.integers(0, 9)
-    if shape == "path":
-        pairs = [(u - 1, u) for u in range(1, n)]
-    elif shape == "star":
-        pairs = [(0, u) for u in range(1, n)]
-    elif shape == "cycle":
-        pairs = [(u - 1, u) for u in range(1, n)] + ([(n - 1, 0)] if n > 2 else [])
-    else:
-        pairs = [(draw(st.integers(0, u - 1)), u) for u in range(1, n)]
-    node = st.integers(0, n - 1)
-    pairs += draw(st.lists(st.tuples(node, node), max_size=2 * n))
-    edges = [(u, v, draw(weight)) for u, v in pairs]
-    return RoadNetwork(n, edges, [[0]])
+    def test_memory_and_time_do_not_follow_the_weights(self):
+        # Nothing in a sweep is indexed by distance, so a path whose edges
+        # weigh about 10^15 builds as fast, and in as little memory, as a
+        # unit-weight one (0.65 MB traced at its peak).
+        rng = random.Random(1)
+        weights = [10**15 + rng.randrange(1000) for _ in range(1999)]
+        edges = [(u, u + 1, w) for u, w in enumerate(weights)]
+        subsets = [[0], [700], [1999], [5, 1000]]
+
+        start = time.perf_counter()
+        net = RoadNetwork(2000, edges, subsets)
+        net.embedding_table()
+        assert net.diameter() == sum(weights)
+        assert time.perf_counter() - start < 1.0
+
+        tracemalloc.start()
+        try:
+            net = RoadNetwork(2000, edges, subsets)
+            net.embedding_table()
+            net.diameter()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestDiameter:

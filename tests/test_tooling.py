@@ -90,11 +90,15 @@ def test_traced_worker_keeps_the_report_and_counts_unique_checks():
     # Tracing wraps the library from outside: the report must not change,
     # the ledger's re-checks must reach the traced is_unique, and each of
     # the 60 sessions must attack through the traced run_attack, so
-    # attack.run_s times the attack step.
+    # attack.run_s times the attack step. Every Dijkstra sweep must go
+    # through the traced distances_from (8 embedding columns and 12
+    # bounding sweeps), or roadnet.dijkstra_calls would read 0.
     out = run_worker("sessions_grid", traced=True)
     assert out["report_sha256"] == dict(WORKLOADS)["sessions_grid"]
     assert out["spans"]["attack.is_unique"]["calls"] > 0
     assert out["spans"]["attack.run_attack"]["calls"] == 60
+    assert out["spans"]["roadnet.distances_from"]["calls"] == 20
+    assert out["spans"]["roadnet.embedding_table"]["calls"] == 1
 
 
 FAILING_AND_PASSING = """
