@@ -381,7 +381,9 @@ def _recovery_fields(
 ) -> dict:
     """Record fields that score a recovery against the true vectors.
     ``driver_vectors`` is ``None`` when the report recovers no driver
-    (merged requests)."""
+    (merged requests). Drivers are recovered only through the rider, so
+    with no rider vector no driver was attempted and the driver score is
+    ``None`` too, as ``driver_nodes_exact`` is."""
     positions = params.positions(len(rider_vector))
     true_blocks = dict(zip(positions, params.split(rider_vector)))
     return {
@@ -395,7 +397,7 @@ def _recovery_fields(
         ),
         "driver_vectors_exact": (
             None
-            if driver_vectors is None
+            if driver_vectors is None or report.rider_vector is None
             else sum(
                 1
                 for k, vec in report.driver_vectors.items()

@@ -149,7 +149,7 @@ def test_merged_reports_look_up_each_node_once(monkeypatch):
 #: Report SHA-256 of each benchmark workload at seed 505, where city_merge
 #: recovers the rider in 14 sessions.
 WORKLOADS = [
-    ("sessions_grid", "1766d0f2552cdfc77fd8de421ef0c4011f3afaf8b9db2204a15be097477b5bac"),
+    ("sessions_grid", "60e28f7c9812f2bfb155bb355b0908ce7bb76954aa44f81a0c0e2e62bb3dcc6e"),
     ("fleet_synthetic", "91f08f0e8a489b242d1075f99da33fc06ee29b0bf01e9b385eef24d8b8f53949"),
     ("city_merge", "6714380d200004a52be053a85fa09bbe47d3c1a63ee78d552c16e5db8cd048f5"),
 ]
