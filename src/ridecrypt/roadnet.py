@@ -107,13 +107,10 @@ class RoadNetwork:
     def distances_from(self, sources: Iterable[int]) -> list[int]:
         """Multi-source Dijkstra; distance from each node to the nearest source.
 
-        The queue is a dict from each tentative distance to the nodes that
-        reached it, plus a heap of the distinct distances, so a sweep pushes
-        once per new distance rather than once per relaxation. A node sits
-        in one bucket per improvement and is settled from the bucket that
-        matches its final distance; a zero-weight edge appends to the
-        bucket being settled. Memory is linear in the network whatever the
-        weights: nothing is indexed by distance.
+        The queue is the bucket queue of the module docstring. A node joins
+        one bucket per improvement and is settled from the bucket of its
+        final distance; a zero-weight edge appends to the bucket being
+        settled, which the loop over it then reaches.
         """
         start = list(sources)
         for s in start:
