@@ -9,8 +9,9 @@ which is the assumption the matching step leans on. An input is the (key,
 message) pair the HMAC computes, under either PRF, and its fingerprint
 comes from the kernel's own inner digest, so certifying costs no extra hash.
 The certificate is packed: 24 bytes of output and fingerprint per certified
-output, in ``bytearray`` buckets picked by the output's first bytes, so a
-long run keeps about 28 to 33 B per output where a ``dict`` kept about 150 B.
+output, in the ``bytearray`` bucket that the output's first native 4-byte
+word picks, so a long run keeps about 28 to 33 B per output where a
+``dict`` kept about 150 B. A growth refiles one old bucket at a time.
 
 Within one matching session every driver's inner input and every outer
 input of the matching party is one the rider already evaluated. Inside a
@@ -33,8 +34,6 @@ from __future__ import annotations
 
 import random
 import struct
-import sys
-from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -57,11 +56,6 @@ PRF_CONSTRUCTION = "HMAC-SHA256/128"
 
 #: A certificate record: the output, then its input's 8-byte fingerprint.
 RECORD_BYTES = PRF_OUTPUT_BYTES + 8
-
-#: ``_LOW_BITS[k]`` keeps the low ``k`` bits of each byte under ``translate``.
-_LOW_BITS = [bytes(b & ((1 << k) - 1) for b in range(256)) for k in range(8)]
-#: Where the i-th least significant byte of a native 4-byte word sits.
-_WORD_BYTES = range(4) if sys.byteorder == "little" else range(3, -1, -1)
 
 
 class CollisionWatchdog:
@@ -88,11 +82,12 @@ class CollisionWatchdog:
 
     The certificate is packed: each output is one 24-byte record, the
     16-byte output and then its fingerprint, appended to the ``bytearray``
-    bucket that the output's first bytes pick, and looked up with
-    ``bytearray.find`` at record-aligned offsets. That is about 28 B per
-    tracked output where a ``dict`` took about 150 B. The table grows
-    fourfold once buckets average more than ``_MAX_LOAD`` records, so after
-    a growth they average 8 to 32. It starts at ``_START_BUCKETS``, about
+    bucket that the output's first native 4-byte word picks, cut to the
+    table's bits, and looked up with ``bytearray.find`` at record-aligned
+    offsets. That is about 28 B per tracked output where a ``dict`` took
+    about 150 B. The table grows fourfold once buckets average more than
+    ``_MAX_LOAD`` records, refiling one old bucket at a time, so after a
+    growth they average 8 to 32. It starts at ``_START_BUCKETS``, about
     64 KB, which holds a 60-session sessions_grid run's 30,720 outputs
     without refiling any.
     """
@@ -101,12 +96,10 @@ class CollisionWatchdog:
     _START_BUCKETS = 1024
     _MAX_LOAD = 32
     _GROWTH_BITS = 2
-    #: Old buckets refiled per step of a growth, which bounds its copy.
-    _GROWTH_CHUNK = 256
 
     __slots__ = (
         "evaluations", "collisions", "untracked", "tracked", "enabled",
-        "_buckets", "_bits",
+        "_buckets",
     )
 
     def __init__(self) -> None:
@@ -116,43 +109,33 @@ class CollisionWatchdog:
         self.tracked = 0
         self.enabled = True
         self._buckets = [bytearray() for _ in range(self._START_BUCKETS)]
-        self._bits = self._START_BUCKETS.bit_length() - 1
 
-    def _bucket_indices(self, packed: bytes, stride: int) -> list[int]:
+    def _buckets_of(self, packed: bytes, stride: int) -> list[bytearray]:
         """The bucket of each output in ``packed``, one every ``stride``
-        bytes: its first bytes as a little-endian number, cut to the
-        table's bits. HMAC outputs are uniform, so these bits are too.
-        Slicing and ``translate`` do the work for the whole batch at once."""
-        words = bytearray(4 * (len(packed) // stride))
-        bits = self._bits
-        for i in range(-(-bits // 8)):
-            column = packed[i::stride]
-            if bits < 8 * (i + 1):
-                column = column.translate(_LOW_BITS[bits - 8 * i])
-            words[_WORD_BYTES[i]::4] = column
-        return memoryview(words).cast("I").tolist()
+        bytes: the one its first native 4-byte word picks, cut to the
+        table's bits. HMAC outputs are uniform, so these bits are too."""
+        buckets = self._buckets
+        mask = len(buckets) - 1
+        return [buckets[word & mask] for word in memoryview(packed).cast("I")[:: stride // 4]]
 
     def _grow(self) -> None:
         """Refile every record into a table ``2**_GROWTH_BITS`` times as
-        large, a chunk of old buckets at a time, freeing each as it goes."""
+        large, one old bucket at a time, freeing each as it goes. A bucket
+        is read as ``bytes``, whose record slices cost one allocation each."""
         old = self._buckets
-        self._bits += self._GROWTH_BITS
-        new = self._buckets = [bytearray() for _ in range(len(old) << self._GROWTH_BITS)]
-        chunk = self._GROWTH_CHUNK
+        self._buckets = [bytearray() for _ in range(len(old) << self._GROWTH_BITS)]
         while old:
-            packed = b"".join(old[-chunk:])
-            del old[-chunk:]
-            buckets = map(new.__getitem__, self._bucket_indices(packed, RECORD_BYTES))
-            starts = range(0, len(packed), RECORD_BYTES)
-            records = (packed[i : i + RECORD_BYTES] for i in starts)
-            deque(map(bytearray.extend, buckets, records), 0)
+            records = bytes(old.pop())
+            starts = range(0, len(records), RECORD_BYTES)
+            for bucket, at in zip(self._buckets_of(records, RECORD_BYTES), starts):
+                bucket += records[at : at + RECORD_BYTES]
 
     def observe(self, domain: bytes, fingerprint: bytes, output: bytes) -> None:
         self.evaluations += 1
         if not self.enabled or self.tracked >= self.CAPACITY:
             self.untracked += 1
             return
-        bucket = self._buckets[self._bucket_indices(output, PRF_OUTPUT_BYTES)[0]]
+        bucket = self._buckets_of(output, PRF_OUTPUT_BYTES)[0]
         at = bucket.find(output)
         while at > 0 and at % RECORD_BYTES:  # a hit across two records is none
             at = bucket.find(output, at + 1)
@@ -160,7 +143,7 @@ class CollisionWatchdog:
             bucket += output
             bucket += fingerprint
             self.tracked += 1
-            if self.tracked > self._MAX_LOAD << self._bits:
+            if self.tracked > self._MAX_LOAD * len(self._buckets):
                 self._grow()
         elif bucket[at + PRF_OUTPUT_BYTES : at + RECORD_BYTES] != fingerprint:
             self.collisions += 1
@@ -185,16 +168,16 @@ class CollisionWatchdog:
             )
         if self.enabled and count <= self.CAPACITY - self.tracked:
             records = list(map(add, outputs, fingerprints))
-            indices = self._bucket_indices(b"".join(records), RECORD_BYTES)
-            buckets = list(map(self._buckets.__getitem__, indices))
+            buckets = self._buckets_of(b"".join(records), RECORD_BYTES)
             if (
                 max(map(bytearray.find, buckets, outputs), default=-1) < 0
                 and len(set(outputs)) == count
             ):
-                deque(map(bytearray.extend, buckets, records), 0)
+                for bucket, record in zip(buckets, records):
+                    bucket += record
                 self.evaluations += count
                 self.tracked += count
-                if self.tracked > self._MAX_LOAD << self._bits:
+                if self.tracked > self._MAX_LOAD * len(self._buckets):
                     self._grow()
                 return
         for output, fingerprint in zip(outputs, fingerprints):

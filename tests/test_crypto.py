@@ -1,6 +1,7 @@
 import hashlib
 import hmac
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -16,6 +17,7 @@ from ridecrypt.crypto import (
     MESSAGE_BYTES,
     NONCE_BYTES,
     PRF_OUTPUT_BYTES,
+    RECORD_BYTES,
     CollisionWatchdog,
     SystemKeys,
     encode_message,
@@ -468,7 +470,7 @@ class TestBatchFiling:
 
         def checked(watchdog, domain, outputs, fingerprints):
             recording = watchdog._buckets = Recording(watchdog._buckets)
-            own = watchdog._bucket_indices(b"".join(outputs), PRF_OUTPUT_BYTES)
+            own = [int.from_bytes(o[:4], sys.byteorder) & (len(recording) - 1) for o in outputs]
             file(watchdog, domain, outputs, fingerprints)
             grew = watchdog._buckets is not recording
             if not grew:
@@ -572,6 +574,51 @@ class TestPackedCertificate:
             with pytest.raises(PrfCollisionError, match=output.hex()):
                 local.observe(b"F", bytes(8), output)
         assert (local.tracked, local.collisions) == (3000, 3000)
+
+    @pytest.mark.parametrize("path", ["batch", "single", "growth"])
+    @pytest.mark.parametrize("bits", [10, 12, 14])
+    def test_each_record_sits_in_the_bucket_its_first_word_picks(
+        self, monkeypatch, bits, path
+    ):
+        # A batch reads its outputs at a 24-byte stride, a single output at
+        # 16, and a growth step the old records at 24. The reference
+        # comparison above cannot see a skewed or misaligned lookup; this can.
+        rng = random.Random(bits)
+        start = 1 << bits - 2 if path == "growth" else 1 << bits
+        monkeypatch.setattr(CollisionWatchdog, "_START_BUCKETS", start)
+        monkeypatch.setattr(CollisionWatchdog, "_MAX_LOAD", 1)
+        local = CollisionWatchdog()
+        # One record a bucket fills the table; a growth step needs one more.
+        count = start + 200 if path == "growth" else start
+        outputs = [rng.randbytes(PRF_OUTPUT_BYTES) for _ in range(count)]
+        prints = [rng.randbytes(8) for _ in outputs]
+        if path == "single":
+            for output, fp in zip(outputs, prints):
+                local.observe(b"H", fp, output)
+        else:
+            for at in range(0, len(outputs), 128):
+                local.file(b"H", outputs[at : at + 128], prints[at : at + 128])
+        assert len(local._buckets) == 1 << bits
+        filed = []
+        for index, bucket in enumerate(local._buckets):
+            for at in range(0, len(bucket), RECORD_BYTES):
+                output = bytes(bucket[at : at + PRF_OUTPUT_BYTES])
+                assert int.from_bytes(output[:4], sys.byteorder) & (2**bits - 1) == index
+                filed.append(output)
+        assert sorted(filed) == sorted(outputs) and local.tracked == count
+
+    def test_hmac_outputs_spread_evenly(self):
+        # A sessions_grid run's worth of outputs in a fresh table: 30 records
+        # a bucket on average, and none anywhere near a skewed table's load.
+        local = CollisionWatchdog()
+        outputs = [
+            hashlib.sha256(i.to_bytes(4, "big")).digest()[:PRF_OUTPUT_BYTES]
+            for i in range(30_720)
+        ]
+        for at in range(0, len(outputs), 128):
+            local.file(b"H", outputs[at : at + 128], [bytes(8)] * 128)
+        assert len(local._buckets) == CollisionWatchdog._START_BUCKETS
+        assert max(map(len, local._buckets)) <= 64 * RECORD_BYTES
 
     def test_mismatched_batch_is_refused(self):
         local = CollisionWatchdog()
