@@ -14,7 +14,7 @@ import sys
 
 from . import crypto
 from .crypto import MAX_DIM
-from .errors import CapacityError, LedgerFault, ProtocolFault
+from .errors import LedgerFault, ProtocolFault
 from .harness import (
     MAX_WORKERS,
     MODES,
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         records = run_experiment(config)
         write_report(path, records)
-    except (CapacityError, LedgerFault, OSError, ProtocolFault, ValueError) as exc:
+    except (LedgerFault, OSError, ProtocolFault, ValueError) as exc:
         print(
             f"error: {exc} (mode {config.mode}, seed {config.seed})", file=sys.stderr
         )

@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from operator import index
 from typing import Iterable, Sequence
 
 RneVector = tuple[int, ...]
@@ -42,8 +43,11 @@ class RoadNetwork:
     """Immutable snapshot of a weighted undirected graph with landmarks.
 
     Construction validates edges, checks connectivity and freezes the
-    adjacency structure; embedding and diameter caches fill lazily but
-    idempotently, so concurrent readers are safe.
+    adjacency structure. The node count, every edge field and every
+    landmark id are read with ``operator.index``, so integers and
+    int-likes such as numpy integers pass and anything else is refused
+    with ``ValueError`` rather than truncated. Embedding and diameter
+    caches fill lazily but idempotently, so concurrent readers are safe.
     """
 
     def __init__(
@@ -52,24 +56,39 @@ class RoadNetwork:
         edges: Iterable[tuple[int, int, int]],
         landmark_subsets: Iterable[Iterable[int]],
     ) -> None:
+        try:
+            num_nodes = index(num_nodes)
+        except TypeError:
+            raise ValueError(f"node count {num_nodes!r} is not an integer") from None
         if num_nodes < 1:
             raise ValueError("network needs at least one node")
         self.num_nodes = num_nodes
-        self.edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
+        checked = []
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        for u, v, w in self.edges:
+        for edge in edges:
+            try:
+                u, v, w = map(index, edge)
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has a field that is not an integer") from None
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
             if w < 0:
                 raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
+            checked.append((u, v, w))
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
+        self.edges = tuple(checked)
         self._adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
         self._weight_sum = sum(w for _, _, w in self.edges)
 
         subsets = []
-        for subset in landmark_subsets:
-            frozen = frozenset(int(s) for s in subset)
+        for i, subset in enumerate(landmark_subsets):
+            try:
+                frozen = frozenset(map(index, subset))
+            except TypeError:
+                raise ValueError(
+                    f"landmark subset {i} holds a node id that is not an integer"
+                ) from None
             if not frozen:
                 raise ValueError("landmark subsets must be non-empty")
             if any(not 0 <= s < num_nodes for s in frozen):

@@ -108,6 +108,30 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             RoadNetwork(2, [(0, 1, 1)], [])
 
+    @pytest.mark.parametrize(
+        "num_nodes, edges, subsets, message",
+        [
+            (3, [(0, 1, 2.7), (1, 2, 3)], [[0]], r"edge \(0, 1, 2.7\) has a field"),
+            (3, [(0, 1, 2), (1, 2, "3")], [[0]], r"edge \(1, 2, '3'\) has a field"),
+            (3, [(0, 1, 2), (1, 2, 3)], [[0], [1.9]], "landmark subset 1 holds"),
+            (2.0, [(0, 1, 1)], [[0]], "node count 2.0 is not an integer"),
+        ],
+    )
+    def test_non_integers_are_refused_not_truncated(
+        self, num_nodes, edges, subsets, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            RoadNetwork(num_nodes, edges, subsets)
+
+    def test_int_likes_are_read_as_ints(self):
+        np = pytest.importorskip("numpy")
+        net = RoadNetwork(np.int64(3), [tuple(np.int32([0, 1, 2])), (1, 2, 3)], [[np.int8(0)]])
+        assert net.num_nodes == 3 and type(net.num_nodes) is int
+        assert net.edges == ((0, 1, 2), (1, 2, 3))
+        assert all(type(x) is int for edge in net.edges for x in edge)
+        assert net.landmark_subsets == (frozenset({0}),)
+        assert net.embedding_table() == ((0,), (2,), (5,))
+
 
 class TestShortestPaths:
     def test_distance_to_self_is_zero(self):
