@@ -5,10 +5,9 @@ difference for every (coordinate, block) position and every responding
 driver. Dividing out the public weight gives the raw difference
 ``driver_block - rider_block``. Collected across drivers, each position's
 differences confine the rider's block to an integer interval; once the
-interval collapses to a point the block is known, and each driver's block
-follows from that driver's own response by adding its difference back. No
-extra protocol messages are needed; the input here is exactly the output of
-honest matching.
+interval collapses to a point the block is known. No extra protocol
+messages are needed; the input here is exactly the output of honest
+matching.
 
 One tracker, :class:`DifferenceLedger`, holds what the provider learns
 about the rider, and nothing per driver. Keyed by (coordinate, block)
@@ -22,13 +21,22 @@ bounded by the position count, however many responses were filed. Filing
 a response costs at most O(positions), and recovering the drivers
 O(drivers * positions), one pass over each driver's matches, so an attack
 is linear in what it is fed.
+
+The interval is also what recovers the drivers. Every filed difference
+``d`` at a position satisfies ``lo <= hi`` only if ``0 <= lo + d <= top``,
+so once the rider's block ``lo`` is known, every driver block ``lo + d``
+that the ledger filed is in range. A driver's block is the rider's plus
+its difference, so its coordinate is the rider's plus the sum of its
+payloads over the coordinate's blocks: :func:`run_attack` recovers each
+driver as exactly that, and only :func:`recover_driver_vectors`, which
+takes pairs no ledger filed, checks each block's range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, floordiv
-from typing import Iterable, Mapping, Sequence
+from operator import add, floordiv, mod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .codec import BlockParams, recompose
 from .errors import LedgerFault
@@ -208,6 +216,37 @@ def recover_rider_vector(
     return tuple(recompose(run, ledger.params) for run in runs), candidates
 
 
+def _driver_rows(
+    params: BlockParams,
+    rider_vector: Sequence[int],
+    matched_responses: Iterable[tuple[int, Mapping[tuple[int, int], int]]],
+) -> Iterator[tuple[int, list[int], RneVector]]:
+    """``(driver_id, payloads, vector)`` for each responding driver, in id
+    order: its payloads in position order and its vector, the rider's plus
+    the sum of its payloads per coordinate. Nothing is range-checked.
+
+    A repeated driver's later payload wins, position by position. A map in
+    position order, as matching returns it, is read as it stands
+    (fleet_synthetic's thousand drivers), any other by a lookup per
+    position; a driver that misses a position raises :class:`LedgerFault`
+    when it is reached.
+    """
+    positions = params.positions(len(rider_vector))
+    latest: dict[int, Mapping[tuple[int, int], int]] = {}
+    for driver_id, matches in matched_responses:
+        earlier = latest.get(driver_id)
+        latest[driver_id] = matches if earlier is None else {**earlier, **matches}
+    for driver_id in sorted(latest):
+        matches = latest[driver_id]
+        if tuple(matches) == positions:  # honest matching's own order
+            payloads = list(matches.values())
+        else:
+            payloads = [matches.get(pos) for pos in positions]
+            if None in payloads:
+                raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
+        yield driver_id, payloads, tuple(map(add, rider_vector, map(sum, params.runs(payloads))))
+
+
 def recover_driver_vectors(
     params: BlockParams,
     rider_vector: Sequence[int],
@@ -218,41 +257,34 @@ def recover_driver_vectors(
     plus the driver's difference there, so a driver coordinate is the
     rider's plus the sum of the driver's payloads over its blocks.
 
-    ``matched_responses`` holds ``(driver_id, matches)`` pairs whose
-    payloads :meth:`DifferenceLedger.record_matches` accepted; a repeated
+    ``matched_responses`` holds ``(driver_id, matches)`` pairs; a repeated
     driver's later payload wins, position by position. Drivers are handled
     in id order, each in one pass over its matches; a map in position order,
-    as matching returns it, is read as it stands (fleet_synthetic's thousand
-    drivers), any other by a lookup per position. A driver that misses a
-    position, or whose block leaves the block range, raises
-    :class:`LedgerFault`; of several, the lowest driver id is reported, and
-    within it the first position.
+    as matching returns it, is read as it stands, any other by a lookup per
+    position. A driver that misses a position, whose payload is not a
+    multiple of its position's weight, or whose block leaves the block
+    range, raises :class:`LedgerFault`; of several, the lowest driver id is
+    reported, and within it the first position, a missing one before any.
     """
     top = params.base - 1
     positions = params.positions(len(rider_vector))
     rider_blocks = params.split(rider_vector)
     weights = params.weights * len(rider_vector)
-    latest: dict[int, Mapping[tuple[int, int], int]] = {}
-    for driver_id, matches in matched_responses:
-        earlier = latest.get(driver_id)
-        latest[driver_id] = matches if earlier is None else {**earlier, **matches}
     vectors: dict[int, RneVector] = {}
-    for driver_id in sorted(latest):
-        matches = latest[driver_id]
-        if tuple(matches) == positions:  # honest matching's own order
-            payloads = list(matches.values())
-        else:
-            payloads = [matches.get(pos) for pos in positions]
-            if None in payloads:
-                raise LedgerFault(f"driver {driver_id} has an incomplete difference set")
+    for driver_id, payloads, vector in _driver_rows(params, rider_vector, matched_responses):
         blocks = list(map(add, map(floordiv, payloads, weights), rider_blocks))
-        if min(blocks) < 0 or max(blocks) > top:
-            pos, block = next((p, b) for p, b in enumerate(blocks) if not 0 <= b <= top)
-            i, j = positions[pos]
-            raise LedgerFault(
-                f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
-            )
-        vectors[driver_id] = tuple(map(add, rider_vector, map(sum, params.runs(payloads))))
+        if any(map(mod, payloads, weights)) or min(blocks) < 0 or max(blocks) > top:
+            for (i, j), payload, weight, block in zip(positions, payloads, weights, blocks):
+                if payload % weight:
+                    raise LedgerFault(
+                        f"driver {driver_id} payload {payload} at ({i}, {j}) is not "
+                        f"a multiple of weight {weight}"
+                    )
+                if not 0 <= block <= top:
+                    raise LedgerFault(
+                        f"driver {driver_id} block {block} at ({i}, {j}) is out of range"
+                    )
+        vectors[driver_id] = vector
     return vectors
 
 
@@ -306,13 +338,25 @@ def run_attack(
 ) -> RecoveryReport:
     """Run the full recovery over matched responses, in arrival order: the
     rider by one :class:`DifferenceLedger`, then, once the rider is known,
-    every driver by :func:`recover_driver_vectors` and, with ``index``
-    from :func:`embedding_index`, each driver's node.
+    every driver as the rider plus its per-coordinate payload sums and,
+    with ``index`` from :func:`embedding_index`, each driver's node.
 
     ``matched_responses`` holds ``(driver_id, matches)`` pairs, ``matches``
     being the output of ``ServiceProvider.match_response``: precisely the
     data the matching party produces while doing its legitimate job. The
     pairs are read once, so any iterable will do.
+
+    The drivers are recovered as :func:`recover_driver_vectors` recovers
+    them, faults included, less its per-block range check, which the
+    ledger has already proved. The ledger filed every pair of the feed,
+    for a fault while filing ends the attack, and it refuses a payload
+    that is not a multiple of its weight ``w``, so each ``d = payload / w``
+    is exact. Filing ``d`` at position ``p`` leaves ``lo_p >= -d`` and
+    ``hi_p <= top - d``, and both bounds only tighten afterwards. The
+    rider is recovered only once :func:`recover_rider_vector` has read
+    every interval, which faults if ``lo_p > hi_p``, and its block is
+    ``r_p = lo_p <= hi_p``. So ``0 <= r_p + d <= top`` for every payload,
+    a repeated driver's included, under either uniqueness rule.
     """
     matched_responses = list(matched_responses)
     ledger = DifferenceLedger(params, dim, strict)
@@ -320,9 +364,9 @@ def run_attack(
         ledger.record_matches(driver_id, matches)
     report = ledger.report(index)
     if report.rider_vector is not None:
-        report.driver_vectors = recover_driver_vectors(
-            params, report.rider_vector, matched_responses
-        )
+        report.driver_vectors = {
+            k: vector for k, _, vector in _driver_rows(params, report.rider_vector, matched_responses)
+        }
         if index is not None:
             report.driver_nodes = {
                 k: deanonymize(vec, index) for k, vec in report.driver_vectors.items()

@@ -47,6 +47,7 @@ from .roadnet import (
     check_grid,
     generate_grid_network,
     load_network,
+    randrange_batch,
     rne_distance,
 )
 
@@ -565,10 +566,9 @@ def run_synthetic_sessions(
     def locate(s: int) -> tuple:
         ctx = RideContext(SYNTHETIC_ZONE, s % 2**32, params, dim)
         rng_locations = Random(derive_seed(seed, "synthetic", s, "locations"))
-        rider_vector, *driver_vectors = (
-            tuple(rng_locations.randrange(params.capacity) for _ in range(dim))
-            for _ in range(num_drivers + 1)
-        )
+        # The rider's coordinates, then each driver's, one randrange apiece.
+        coordinates = randrange_batch(rng_locations, params.capacity, dim * (num_drivers + 1))
+        rider_vector, *driver_vectors = zip(*[iter(coordinates)] * dim)
         return ctx, rider_vector, driver_vectors
 
     attack = partial(run_attack, params, dim, strict=strict)

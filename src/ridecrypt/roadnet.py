@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from operator import index
 from typing import Iterable, Sequence
 
@@ -246,14 +247,54 @@ def rne_distance(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def check_grid(rows: int, cols: int, weight_range: tuple[int, int]) -> None:
-    """Reject grid arguments :func:`generate_grid_network` cannot build."""
+    """Reject grid arguments :func:`generate_grid_network` cannot build.
+    Rows, columns and both weight bounds are read with ``operator.index``,
+    as :class:`RoadNetwork` reads its input, so a value that is not an
+    integer raises ``ValueError`` naming its field."""
+    lo, hi = weight_range
+    fields = (("rows", rows), ("cols", cols), ("weight_range bound", lo), ("weight_range bound", hi))
+    for name, value in fields:
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} {value!r} is not an integer") from None
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    lo, hi = weight_range
     if lo > hi:
         raise ValueError(f"empty weight range [{lo}, {hi}]")
     if lo < 0:
         raise ValueError("edge weights must be non-negative")
+
+
+def randrange_batch(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn in batches, and
+    leaving ``rng`` in the same state.
+
+    ``randrange(n)`` tries ``getrandbits(k)`` for ``k = n.bit_length()``
+    until a try falls below ``n`` (for n = 2**16, k = 17, so half the tries
+    are rejected). For ``k <= 32`` a try is the next 32-bit Mersenne
+    Twister word shifted right by ``32 - k``, and ``getrandbits(32 * W)``
+    returns the next ``W`` words, least significant first. Each round
+    draws one word per value still missing, so it never reads past the
+    last try ``randrange`` would make, and keeps the tries below ``n``.
+    A wider ``n`` draws per call.
+    """
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"empty range for randrange({n})")
+    shift = 32 - n.bit_length()
+    if shift < 0:
+        return [rng.randrange(n) for _ in range(count)]
+    limit = n << shift  # a word is kept iff word >> shift < n
+    values: list[int] = []
+    while len(values) < count:
+        words = count - len(values)
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, sys.byteorder)
+        tries = memoryview(data).cast("I")
+        if sys.byteorder == "big":  # the draw's first word is stored last
+            tries = tries[::-1]
+        values += [word >> shift for word in tries if word < limit]
+    return values
 
 
 def generate_grid_network(
@@ -276,14 +317,17 @@ def generate_grid_network(
 
     rng = random.Random(seed)
     num_nodes = rows * cols
-    edges = []
+    pairs = []
     for r in range(rows):
         for c in range(cols):
             node = r * cols + c
             if c + 1 < cols:
-                edges.append((node, node + 1, rng.randint(lo, hi)))
+                pairs.append((node, node + 1))
             if r + 1 < rows:
-                edges.append((node, node + cols, rng.randint(lo, hi)))
+                pairs.append((node, node + cols))
+    # rng.randint(lo, hi) per edge, in edge order, drawn in one batch.
+    weights = randrange_batch(rng, hi - lo + 1, len(pairs))
+    edges = [(u, v, lo + w) for (u, v), w in zip(pairs, weights)]
 
     if landmarks <= num_nodes:
         subsets = [[node] for node in rng.sample(range(num_nodes), landmarks)]

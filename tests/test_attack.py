@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ReferenceLedger, feasible_blocks, reference_attack
@@ -552,6 +552,97 @@ class TestRecoverDriverVectors:
         incomplete = f"driver {k} has an incomplete difference set"
         with pytest.raises(LedgerFault, match=incomplete):
             recover_driver_vectors(params, rider, permuted)
+
+    def test_payload_off_its_weight_faults(self):
+        # Blocks 5 = (1, 1); the range check alone would pass (2, 1), which
+        # recomposes to 6, while the payloads sum to 8.
+        params = BlockParams(2, 2)
+        off = re.escape("driver 0 payload 2 at (0, 1) is not a multiple of weight 4")
+        with pytest.raises(LedgerFault, match=off):
+            recover_driver_vectors(params, (5,), [(0, {(0, 0): 1, (0, 1): 2})])
+        # The ledger refuses the same payload.
+        with pytest.raises(LedgerFault, match="payload 2 at .0, 1. is not a multiple"):
+            DifferenceLedger(params, 1).record_matches(0, {(0, 0): 1, (0, 1): 2})
+        # Faults keep their order: the lowest driver first, within it the
+        # first position, and a missing position before any.
+        matched = [(3, {(0, 0): 1, (0, 1): 9}), (1, {(0, 0): 1, (0, 1): 12})]
+        with pytest.raises(LedgerFault, match=r"driver 1 block 4 at \(0, 1\)"):
+            recover_driver_vectors(params, (5,), matched)
+        with pytest.raises(LedgerFault, match=r"driver 3 payload 9 at \(0, 1\)"):
+            recover_driver_vectors(params, (5,), matched[:1])
+        with pytest.raises(LedgerFault, match=r"driver 3 block 6 at \(0, 0\)"):
+            recover_driver_vectors(params, (5,), [(3, {(0, 0): 5, (0, 1): 2})])
+        with pytest.raises(LedgerFault, match="driver 3 has an incomplete"):
+            recover_driver_vectors(params, (5,), [(3, {(0, 1): 2})])
+
+
+@st.composite
+def recovered_feeds(draw):
+    """``(params, dim, strict, feed)``: one rider's feed of honest maps and
+    forged ones, whose payloads are any multiples ``d * w_j`` with ``d`` in
+    ``[-top, top]``, some maps out of position order and driver ids
+    repeated."""
+    params = BlockParams(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    dim = draw(st.integers(1, 2))
+    strict = draw(st.booleans())
+    top = params.base - 1
+    vector = st.tuples(*[st.integers(0, params.capacity - 1)] * dim)
+    rider = draw(vector)
+    feed = []
+    for _ in range(draw(st.integers(0, 16))):
+        if draw(st.booleans()):
+            matches = honest_matches(params, dim, rider, draw(vector))
+        else:
+            matches = {
+                (i, j): draw(st.integers(-top, top)) * params.weights[j]
+                for i, j in params.positions(dim)
+            }
+        if draw(st.booleans()):
+            matches = dict(draw(st.permutations(list(matches.items()))))
+        feed.append((draw(st.integers(0, 4)), matches))
+    return params, dim, strict, feed
+
+
+class TestRunAttackSkipsTheProvedCheck:
+    """run_attack recovers drivers without the per-block range check of
+    recover_driver_vectors, because its ledger proves every block in range."""
+
+    @settings(max_examples=300)  # about one feed in ten recovers its rider
+    @given(recovered_feeds(), st.data())
+    def test_checked_recovery_agrees_whenever_the_rider_is_recovered(self, feed_args, data):
+        params, dim, strict, feed = feed_args
+        try:
+            report = run_attack(params, dim, feed, strict=strict)
+        except LedgerFault:
+            return  # the forged maps left no rider block consistent
+        if report.rider_vector is None:
+            assert report.driver_vectors == {}
+            return
+        checked = recover_driver_vectors(params, report.rider_vector, feed)
+        assert checked == report.driver_vectors
+        assert set(checked) == {k for k, _ in feed}
+        # A driver that misses a position still faults: its pairs were all
+        # filed before, so the rider is recovered as before.
+        k, matches = feed[data.draw(st.integers(0, len(feed) - 1))]
+        items = list(matches.items())
+        del items[data.draw(st.integers(0, len(items) - 1))]
+        with pytest.raises(LedgerFault, match="driver 99 has an incomplete difference set"):
+            run_attack(params, dim, feed + [(99, dict(items))], strict=strict)
+
+    def test_forged_maps_alone_recover_the_rider_and_drivers(self):
+        # Differences -1 and 2 pin every 2-bit block at 1, and 0 and 1
+        # complete the four values the strict rule needs.
+        params, dim = BlockParams(2, 2), 2
+        feed = [
+            (k, {(i, j): d * params.weights[j] for i, j in params.positions(dim)})
+            for k, d in enumerate((-1, 2, 0, 1))
+        ]
+        drivers = {0: (0, 0), 1: (15, 15), 2: (5, 5), 3: (10, 10)}
+        for strict in (False, True):
+            report = run_attack(params, dim, feed, strict=strict)
+            assert report.rider_vector == (5, 5)
+            assert report.driver_vectors == drivers
+            assert recover_driver_vectors(params, (5, 5), feed) == drivers
 
 
 class TestDeanonymize:

@@ -138,6 +138,7 @@ def test_merged_reports_look_up_each_node_once(monkeypatch):
 
     monkeypatch.setattr(attack, "deanonymize", counted)
     monkeypatch.setattr(attack, "recover_driver_vectors", unreachable)
+    monkeypatch.setattr(attack, "_driver_rows", unreachable)
     records = merged_end_to_end()
     sessions = [r for r in records if r["record"] == "session"]
     rider_reports = sum(r["rider_vector_recovered"] for r in sessions)

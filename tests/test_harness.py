@@ -190,6 +190,22 @@ class TestConfigValidation:
             )
         assert str(configured.value) == str(generated.value)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"rows": 2.5, "cols": 3}, "rows 2.5 is not an integer"),
+            ({"rows": 2, "cols": "3"}, "cols '3' is not an integer"),
+            ({"weight_range": (1, 9.5)}, "weight_range bound 9.5 is not an integer"),
+            ({"weight_range": ("1", 9)}, "weight_range bound '1' is not an integer"),
+        ],
+    )
+    def test_non_integer_grid_input_names_its_field(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(mode="protocol_only", trials=1, **grid)
+        grid = {"rows": 3, "cols": 3, "weight_range": (1, 9), **grid}
+        with pytest.raises(ValueError, match=message):
+            generate_grid_network(grid["rows"], grid["cols"], grid["weight_range"])
+
     def test_workers_bounded_by_a_fixed_constant(self):
         # Building a config starts no thread; only its bound is checked.
         assert ExperimentConfig(mode="end_to_end", workers=MAX_WORKERS).workers == MAX_WORKERS

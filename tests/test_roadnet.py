@@ -16,6 +16,7 @@ from ridecrypt.roadnet import (
     generate_grid_network,
     load_network,
     parse_network,
+    randrange_batch,
     rne_distance,
     save_network,
 )
@@ -85,6 +86,38 @@ class TestGridGeneration:
     def test_small_graph_reuses_nodes_for_landmarks(self):
         net = generate_grid_network(1, 2, (1, 1), seed=7, landmarks=8)
         assert net.dim == 8
+
+
+class TestRandrangeBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 2**16, 2**31, 2**32, 2**40, 2**62])
+    def test_same_values_and_state_as_randrange(self, n):
+        for seed, count in itertools.product(range(5), (0, 1, 1000)):
+            per_call, batched = random.Random(seed), random.Random(seed)
+            expected = [per_call.randrange(n) for _ in range(count)]
+            assert randrange_batch(batched, n, count) == expected
+            assert batched.random() == per_call.random()
+
+    def test_empty_range_faults_like_randrange(self):
+        with pytest.raises(ValueError, match="empty range"):
+            randrange_batch(random.Random(1), 0, 3)
+
+    def test_grid_weights_are_randint_per_edge(self):
+        # The generator's draws, one randint per edge in edge order and
+        # then the landmark sample, written out per call.
+        rows, cols, (lo, hi), seed = 7, 5, (2, 11), 99
+        rng = random.Random(seed)
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                node = r * cols + c
+                if c + 1 < cols:
+                    edges.append((node, node + 1, rng.randint(lo, hi)))
+                if r + 1 < rows:
+                    edges.append((node, node + cols, rng.randint(lo, hi)))
+        landmarks = rng.sample(range(rows * cols), 8)
+        net = generate_grid_network(rows, cols, (lo, hi), seed=seed, landmarks=8)
+        assert net.edges == tuple(edges)
+        assert net.landmark_subsets == tuple(frozenset([node]) for node in landmarks)
 
 
 class TestNetworkValidation:

@@ -101,6 +101,15 @@ def test_traced_worker_keeps_the_report_and_counts_unique_checks():
     assert out["spans"]["roadnet.embedding_table"]["calls"] == 1
 
 
+def test_traced_fleet_keeps_the_report_and_attacks_once():
+    # The fleet's one session recovers its thousand drivers inside the
+    # traced run_attack; a renamed public name in attack.py fails here.
+    out = run_worker("fleet_synthetic", traced=True)
+    assert out["report_sha256"] == dict(WORKLOADS)["fleet_synthetic"]
+    assert out["spans"]["attack.run_attack"]["calls"] == 1
+    assert out["spans"]["attack.record_matches"]["calls"] == 1000
+
+
 FAILING_AND_PASSING = """
 from hypothesis import given, strategies as st
 
