@@ -55,12 +55,15 @@ responses = {
 # The matching party holds no keys, only the session context.
 sp = ServiceProvider(ctx)
 print("driver  node  encrypted-distance  plaintext-distance")
+distances = {}
 for k, node in driver_nodes.items():
     encrypted = sp_compute_distance(sp.match_response(request, responses[k]), ctx)
     plaintext = rne_distance(table[rider_node], table[node])
     marker = "" if encrypted == plaintext else "  <-- MISMATCH"
     print(f"{k:>6}  {node:>4}  {encrypted:>18}  {plaintext:>18}{marker}")
+    distances[k] = encrypted
 
-winner = sp.select_driver(request, list(responses.values()))
+# The closest driver wins, the lowest id on a tie.
+winner = ServiceProvider.select_driver(distances)
 print(f"\nselected driver: {winner} (at node {driver_nodes[winner]}, "
       f"the rider's own position)")

@@ -48,7 +48,7 @@ for k, node in enumerate(driver_nodes):
     matched.append((k, sp.match_response(request, response)))
 
 print(f"{NUM_DRIVERS} drivers responded; the matching party now holds "
-      f"{NUM_DRIVERS * ctx.total_blocks} signed block differences.\n")
+      f"{NUM_DRIVERS * len(ctx.labels)} signed block differences.\n")
 
 # One ledger, built with its uniqueness rule (here the default: the
 # interval closed to a point), files each response as it arrives. Watch

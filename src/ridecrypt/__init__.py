@@ -17,14 +17,7 @@ from .attack import (
     recover_rider_vector,
     run_attack,
 )
-from .codec import (
-    BlockParams,
-    decode_signed,
-    decompose,
-    encode_signed,
-    recompose,
-    weighted_difference,
-)
+from .codec import BlockParams, decompose, recompose
 from .crypto import (
     PRF_CONSTRUCTION,
     SystemKeys,

@@ -48,6 +48,7 @@ from .roadnet import (
     generate_grid_network,
     load_network,
     randrange_batch,
+    read_int,
     rne_distance,
 )
 
@@ -77,6 +78,11 @@ GRID_DEFAULTS = {"dim": 8, "rows": 6, "cols": 6, "weight_range": (1, 9)}
 
 #: Config fields only the session modes read; table1 rejects them.
 SESSION_ONLY = ("num_drivers", "num_blocks", "network_file", *GRID_DEFAULTS)
+
+#: Integer config fields, besides the weight bounds, read with ``read_int``.
+_INT_FIELDS = (
+    "block_bits", "num_blocks", "dim", "rows", "cols", "num_drivers", "trials", "seed", "workers"
+)
 
 #: Report keys of the fields that reports name by the paper's symbols;
 #: every other field keeps its own name.
@@ -203,7 +209,9 @@ class ExperimentConfig:
     """Everything a run needs, and the one declaration of a run's options:
     the CLI flags fill its fields by name and the ``config`` record is
     derived from them. Frozen and checked when built, so a config that
-    exists is valid; construction raises ``ValueError`` otherwise."""
+    exists is valid; construction raises ``ValueError`` otherwise. Every
+    integer field that is set is read with ``operator.index`` and stored as
+    an ``int``, so a numpy integer passes and ``1.5`` or ``"1"`` does not."""
 
     mode: str
     block_bits: int | None = None  # None: table1 runs all widths, sessions use 2
@@ -226,6 +234,13 @@ class ExperimentConfig:
             for name, default in GRID_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, read_int(name, value))
+        if self.weight_range is not None:
+            bounds = tuple(read_int("weight_range bound", b) for b in self.weight_range)
+            object.__setattr__(self, "weight_range", bounds)
         self.validate()
 
     def validate(self) -> None:
@@ -377,14 +392,12 @@ def _rounds(
 def _recovery_fields(
     report: RecoveryReport,
     rider_vector: RneVector,
-    driver_vectors: Sequence[RneVector] | None,
+    driver_vectors: Sequence[RneVector],
     params: BlockParams,
 ) -> dict:
-    """Record fields that score a recovery against the true vectors.
-    ``driver_vectors`` is ``None`` when the report recovers no driver
-    (merged requests). Drivers are recovered only through the rider, so
-    with no rider vector no driver was attempted and the driver score is
-    ``None`` too, as ``driver_nodes_exact`` is."""
+    """Record fields that score a recovery against the true vectors. A
+    report that recovered no driver (no rider vector, or merged requests)
+    scores the drivers ``None``, as ``driver_nodes_exact`` does."""
     positions = params.positions(len(rider_vector))
     true_blocks = dict(zip(positions, params.split(rider_vector)))
     return {
@@ -398,7 +411,7 @@ def _recovery_fields(
         ),
         "driver_vectors_exact": (
             None
-            if driver_vectors is None or report.rider_vector is None
+            if not report.driver_vectors
             else sum(
                 1
                 for k, vec in report.driver_vectors.items()
@@ -441,7 +454,6 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         raise ValueError(f"run_sessions does not handle mode {config.mode!r}")
     net = _build_network(config)
     dim = net.dim
-    # The embedding first: its landmark sweeps also bound the diameter.
     table = net.embedding_table()
     params = _session_params(config, net)
     drivers = config.resolved_drivers
@@ -482,9 +494,8 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         ctx, rider_vector, driver_vectors, rider_node, driver_nodes = located
         encrypted = [sp_compute_distance(matches, ctx) for _, matches in matched]
         plaintext = [rne_distance(rider_vector, vec) for vec in driver_vectors]
-        # min keeps the first minimum: the lowest id wins a tie.
-        selected = min(range(drivers), key=encrypted.__getitem__)
-        plain_best = min(range(drivers), key=plaintext.__getitem__)
+        selected = ServiceProvider.select_driver(dict(enumerate(encrypted)))
+        plain_best = ServiceProvider.select_driver(dict(enumerate(plaintext)))
         record = {
             "record": "session",
             "schema": SCHEMA_VERSION,
@@ -501,12 +512,8 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
         records.append(record)
         if report is None:
             continue
-        # A merged report recovers no driver, so it scores none; a report
-        # names driver nodes only once it recovered the rider.
         record.update(
-            _recovery_fields(
-                report, rider_vector, None if merged else driver_vectors, params
-            ),
+            _recovery_fields(report, rider_vector, driver_vectors, params),
             recovered_rider_node=report.rider_node,
             rider_node_exact=(
                 None if report.rider_node is None else report.rider_node == rider_node

@@ -57,10 +57,6 @@ class RideContext:
         if not 0 <= self.time_slot < 2**32:
             raise ValueError("time_slot must fit 32 bits")
 
-    @property
-    def total_blocks(self) -> int:
-        return self.dim * self.params.num_blocks
-
     @cached_property
     def labels(self) -> tuple[tuple[int, int], ...]:
         """Every (coordinate, block index) label, in that order: the order
@@ -362,7 +358,7 @@ class ServiceProvider:
         # also checks the entry class, as the loop does entry by entry.
         if None not in cached and {*map(type, entries)} == {DriverEntry}:
             diffs = dict(cached)
-            if len(diffs) == len(entries) == ctx.total_blocks:
+            if len(diffs) == len(entries) == len(ctx.labels):
                 return diffs
         diffs = {}
         for entry in entries:
@@ -393,20 +389,14 @@ class ServiceProvider:
                     )
                 item = payloads[entry] = (label, payload)
             diffs[label] = item[1]
-        if len(diffs) != ctx.total_blocks:
-            raise ProtocolFault(f"matched {len(diffs)} of {ctx.total_blocks} positions")
+        if len(diffs) != len(ctx.labels):
+            raise ProtocolFault(f"matched {len(diffs)} of {len(ctx.labels)} positions")
         return diffs
 
-    def select_driver(
-        self, request: RiderRequest, responses: Sequence[DriverResponse]
-    ) -> int:
-        """Pick the responding driver with minimum distance, lowest id on ties."""
-        if not responses:
+    @staticmethod
+    def select_driver(distances: Mapping[int, int]) -> int:
+        """The driver id with the smallest distance in a ``{driver_id:
+        distance}`` map, the lowest id on a tie."""
+        if not distances:
             raise ValueError("no drivers responded")
-        return min(
-            (
-                sp_compute_distance(self.match_response(request, r), self.context),
-                r.driver_id,
-            )
-            for r in responses
-        )[1]
+        return min(zip(distances.values(), distances))[1]

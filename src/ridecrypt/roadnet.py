@@ -20,16 +20,17 @@ the triangle inequality bounds every other node w's eccentricity between
 ``max(d(v, w), e - d(v, w))`` and ``e + d(v, w)``. Nodes whose upper bound
 cannot beat the largest eccentricity seen so far are dropped, so a grid
 usually needs a few dozen sweeps instead of one per node, and never more
-than one per node. Once the embedding is built, the column of each
-singleton landmark subset is such a sweep; the bounds of every node are
-seeded from all of those columns in one pass, and the bounding sweeps
-start from there.
+than one per node. The column of each singleton landmark subset in the
+embedding is such a sweep, so the diameter builds the embedding if it is
+not built yet and seeds the bounds of every node from all of those
+columns in one pass, or from one sweep from node 0 if no subset is a
+single node. The bounding sweeps start from there, whatever was called
+first.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
 import sys
 from operator import index
@@ -57,10 +58,7 @@ class RoadNetwork:
         edges: Iterable[tuple[int, int, int]],
         landmark_subsets: Iterable[Iterable[int]],
     ) -> None:
-        try:
-            num_nodes = index(num_nodes)
-        except TypeError:
-            raise ValueError(f"node count {num_nodes!r} is not an integer") from None
+        num_nodes = read_int("node count", num_nodes)
         if num_nodes < 1:
             raise ValueError("network needs at least one node")
         self.num_nodes = num_nodes
@@ -175,17 +173,17 @@ class RoadNetwork:
         """Largest shortest-path distance over all node pairs, computed once
         by bounding sweeps (see the module docstring) and cached."""
         if self._diameter is None:
-            self._diameter = self._bounding_diameter(self._embedding_sweeps())
+            self._diameter = self._bounding_diameter(self._seed_sweeps())
         return self._diameter
 
-    def _embedding_sweeps(self) -> list[Sequence[int]]:
-        """The single-source sweeps the embedding already ran, none before
-        it is built: the column of each singleton subset. A multi-node
-        subset's column is a distance to the nearest member, not a sweep."""
-        if self._embedding is None:
-            return []
-        columns = zip(*self._embedding)
-        return [c for c, s in zip(columns, self.landmark_subsets) if len(s) == 1]
+    def _seed_sweeps(self) -> list[Sequence[int]]:
+        """The single-source sweeps the bounds start from: the embedding's
+        column of each singleton subset, or one sweep from node 0 if there
+        is none. A multi-node subset's column is a distance to the nearest
+        member, not a sweep."""
+        columns = zip(*(self._embedding or self.embedding_table()))
+        sweeps = [c for c, s in zip(columns, self.landmark_subsets) if len(s) == 1]
+        return sweeps or [self.distances_from([0])]
 
     def _bounding_diameter(self, seeds: list[Sequence[int]]) -> int:
         # Eccentricity bounding (Takes & Kosters, CIKM 2011). The diameter
@@ -198,20 +196,14 @@ class RoadNetwork:
         # it exactly when it would be after taking the seeds one at a time:
         # its upper bound only falls and the largest eccentricity only rises.
         eccs = [max(dist) for dist in seeds]
-        best = max(eccs, default=0)
-        smallest_ecc = min(eccs, default=math.inf)
+        best, smallest_ecc = max(eccs), min(eccs)
         if best >= 2 * smallest_ecc:
             return best  # no pair is farther apart than 2 * ecc(v) for any v
-        if seeds:
-            farther = (map(e.__sub__, dist) for e, dist in zip(eccs, seeds))
-            lower = list(map(max, *seeds, *farther))
-            around = (map(e.__add__, dist) for e, dist in zip(eccs, seeds))
-            upper = list(map(min, zip(*around)))
-            open_nodes = [w for w, up in enumerate(upper) if up > best]
-        else:
-            lower = [0] * self.num_nodes
-            upper = [math.inf] * self.num_nodes
-            open_nodes = list(range(self.num_nodes))
+        farther = (map(e.__sub__, dist) for e, dist in zip(eccs, seeds))
+        lower = list(map(max, *seeds, *farther))
+        around = (map(e.__add__, dist) for e, dist in zip(eccs, seeds))
+        upper = list(map(min, zip(*around)))
+        open_nodes = [w for w, up in enumerate(upper) if up > best]
         pick_upper = True
         while open_nodes:
             # Alternate between the most promising and the most central
@@ -246,18 +238,22 @@ def rne_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return max((abs(x - y) for x, y in zip(a, b)), default=0)
 
 
+def read_int(name: str, value) -> int:
+    """``value`` read with ``operator.index``, so integers and int-likes
+    such as numpy integers pass; anything else raises ``ValueError``
+    naming the field ``name`` rather than being truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def check_grid(rows: int, cols: int, weight_range: tuple[int, int]) -> None:
     """Reject grid arguments :func:`generate_grid_network` cannot build.
-    Rows, columns and both weight bounds are read with ``operator.index``,
-    as :class:`RoadNetwork` reads its input, so a value that is not an
-    integer raises ``ValueError`` naming its field."""
-    lo, hi = weight_range
-    fields = (("rows", rows), ("cols", cols), ("weight_range bound", lo), ("weight_range bound", hi))
-    for name, value in fields:
-        try:
-            index(value)
-        except TypeError:
-            raise ValueError(f"{name} {value!r} is not an integer") from None
+    Rows, columns and both weight bounds are read with :func:`read_int`,
+    as :class:`RoadNetwork` reads its node count."""
+    rows, cols = read_int("rows", rows), read_int("cols", cols)
+    lo, hi = (read_int("weight_range bound", bound) for bound in weight_range)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
     if lo > hi:
@@ -300,7 +296,7 @@ def randrange_batch(rng: random.Random, n: int, count: int) -> list[int]:
 def generate_grid_network(
     rows: int,
     cols: int,
-    weight_range: tuple[int, int] = (1, 10),
+    weight_range: tuple[int, int],
     seed: int = 0,
     landmarks: int = 8,
 ) -> RoadNetwork:

@@ -62,8 +62,8 @@ class TestLayout:
     @given(params=params_strategy, dim=st.integers(1, 4))
     def test_positions_are_the_context_labels(self, params, dim):
         ctx = RideContext(0, 0, params, dim)
-        assert params.positions(dim) == ctx.labels
-        assert len(params.positions(dim)) == ctx.total_blocks
+        assert ctx.labels == params.positions(dim)
+        assert len(ctx.labels) == dim * params.num_blocks
 
     @given(params=params_strategy)
     def test_weights_are_weight(self, params):

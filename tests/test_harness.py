@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,10 @@ class TestTable1:
         }
 
 
+#: A protocol_only run small enough to build in a test.
+SMALL_RUN = dict(mode="protocol_only", rows=3, cols=3, num_drivers=2, trials=2)
+
+
 class TestConfigValidation:
     def test_mode_required(self):
         with pytest.raises(ValueError):
@@ -206,6 +211,45 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             generate_grid_network(grid["rows"], grid["cols"], grid["weight_range"])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("trials", 2.5),
+            ("num_drivers", 2.5),
+            ("dim", 8.0),
+            ("block_bits", 2.0),
+            ("num_blocks", 3.0),
+            ("workers", 1.5),
+            ("rows", 3.0),
+            ("cols", "3"),
+        ],
+    )
+    def test_non_integer_field_names_itself(self, field, value):
+        # Refused when the config is built: otherwise the run would use a
+        # truncated seed, die later with a bare TypeError, or record the
+        # value as given.
+        kwargs = {**SMALL_RUN, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        ints = dict(
+            block_bits=2, num_blocks=3, dim=4, rows=3, cols=3,
+            num_drivers=2, trials=2, seed=1, workers=2,
+        )
+        given = ExperimentConfig(
+            mode="protocol_only",
+            weight_range=(np.int8(1), np.int64(9)),
+            **{name: np.int64(value) for name, value in ints.items()},
+        )
+        plain = ExperimentConfig(mode="protocol_only", weight_range=(1, 9), **ints)
+        assert [type(getattr(given, name)) for name in ints] == [int] * len(ints)
+        assert [type(bound) for bound in given.weight_range] == [int, int]
+        assert dump_records(run_experiment(given)) == dump_records(run_experiment(plain))
+
     def test_workers_bounded_by_a_fixed_constant(self):
         # Building a config starts no thread; only its bound is checked.
         assert ExperimentConfig(mode="end_to_end", workers=MAX_WORKERS).workers == MAX_WORKERS
@@ -261,6 +305,23 @@ class TestSessionRuns:
         assert aggregate["distances_match"] == 4
         assert all(r["record"] == "session" for r in records)
         assert "blocks_recovered" not in records[0]
+
+    def test_selection_is_the_service_providers(self, monkeypatch):
+        # Each session asks ServiceProvider.select_driver twice, with the
+        # encrypted and then the plaintext distances, and records its answers.
+        asked = []
+        select = ServiceProvider.select_driver
+
+        def recording(distances):
+            asked.append((dict(distances), select(distances)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(ServiceProvider, "select_driver", staticmethod(recording))
+        records, _ = run_sessions(small_config())
+        assert len(asked) == 2 * len(records)
+        for r, encrypted, plaintext in zip(records, asked[::2], asked[1::2]):
+            assert encrypted == (dict(enumerate(r["encrypted_distances"])), r["selected_driver"])
+            assert plaintext == (dict(enumerate(r["plaintext_distances"])), r["plaintext_best"])
 
     def test_end_to_end_produces_recovery_fields(self):
         records, aggregate = run_sessions(

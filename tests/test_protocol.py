@@ -52,10 +52,6 @@ def match_all(request, response):
     return ServiceProvider(request.context).match_response(request, response)
 
 
-def select_driver(request, responses):
-    return ServiceProvider(request.context).select_driver(request, responses)
-
-
 def random_vector(rng, ctx):
     return tuple(rng.randrange(ctx.params.capacity) for _ in range(ctx.dim))
 
@@ -707,29 +703,23 @@ class TestDistanceAndSelection:
             assert encrypted == rne_distance(rider_loc, driver_loc)
 
     def test_single_responder_selected(self):
-        ctx = make_ctx()
-        request = rider_encrypt((5, 6), KEYS, ctx, random.Random(1))
-        response = driver_encrypt(3, (1, 2), KEYS, ctx)
-        assert select_driver(request, [response]) == 3
+        assert ServiceProvider.select_driver({3: 5}) == 3
 
     def test_closest_of_two_wins(self):
-        ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
-        request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
-        near = driver_encrypt(7, (8,), KEYS, ctx)  # distance 3
-        far = driver_encrypt(2, (12,), KEYS, ctx)  # distance 7
-        assert select_driver(request, [far, near]) == 7
+        assert ServiceProvider.select_driver({2: 7, 7: 3}) == 7
+        assert ServiceProvider.select_driver({7: 3, 2: 7}) == 7
 
     def test_tie_break_lowest_id(self):
-        ctx = make_ctx(block_bits=4, num_blocks=1, dim=1)
-        request = rider_encrypt((5,), KEYS, ctx, random.Random(1))
-        a = driver_encrypt(9, (8,), KEYS, ctx)
-        b = driver_encrypt(4, (2,), KEYS, ctx)  # also distance 3
-        assert select_driver(request, [a, b]) == 4
+        assert ServiceProvider.select_driver({9: 3, 4: 3}) == 4
 
     def test_no_responses(self):
-        request = rider_encrypt((5, 6), KEYS, make_ctx(), random.Random(1))
-        with pytest.raises(ValueError):
-            select_driver(request, [])
+        with pytest.raises(ValueError, match="no drivers responded"):
+            ServiceProvider.select_driver({})
+
+    @given(st.dictionaries(st.integers(0, 50), st.integers(0, 20), min_size=1))
+    def test_smallest_distance_then_lowest_id(self, distances):
+        expected = min(distances, key=lambda k: (distances[k], k))
+        assert ServiceProvider.select_driver(distances) == expected
 
     def test_selection_equals_plaintext_argmin(self):
         rng = random.Random(21)
@@ -738,10 +728,13 @@ class TestDistanceAndSelection:
             rider_loc = random_vector(rng, ctx)
             drivers = {k: random_vector(rng, ctx) for k in range(5)}
             request = rider_encrypt(rider_loc, KEYS, ctx, rng)
-            responses = [
-                driver_encrypt(k, loc, KEYS, ctx) for k, loc in drivers.items()
-            ]
-            assert select_driver(request, responses) == best_driver(
+            distances = {
+                k: sp_compute_distance(
+                    match_all(request, driver_encrypt(k, loc, KEYS, ctx)), ctx
+                )
+                for k, loc in drivers.items()
+            }
+            assert ServiceProvider.select_driver(distances) == best_driver(
                 rider_loc, drivers
             )
 
@@ -793,11 +786,15 @@ class TestMatchingPartyVisibility:
             driver_encrypt(k, (5 + k, 10), KEYS, ctx)
             for k in range(3)
         ]
-        assert sp_compute_distance(sp.match_response(request, responses[0]), ctx) == 0
-        assert sp.select_driver(request, responses) == 0
+        distances = {
+            r.driver_id: sp_compute_distance(sp.match_response(request, r), ctx)
+            for r in responses
+        }
+        assert distances[0] == 0
+        assert sp.select_driver(distances) == 0
         other = rider_encrypt((1, 1), KEYS, make_ctx(zone=99), random.Random(9))
         with pytest.raises(ProtocolFault):
-            sp.select_driver(other, responses)
+            sp.match_response(other, responses[0])
 
     def test_no_plaintext_integers_reachable(self):
         """Walk every integer reachable from the wire objects; all of them

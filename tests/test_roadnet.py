@@ -246,7 +246,8 @@ class TestDiameter:
             st.lists(st.lists(node, min_size=1, max_size=3), min_size=1, max_size=4)
         )
         net = RoadNetwork(net.num_nodes, net.edges, subsets)
-        net.embedding_table()
+        if data.draw(st.booleans(), label="embedding first"):
+            net.embedding_table()
         assert net.diameter() == max(max(row) for row in floyd_warshall(net))
 
     def test_multi_node_subset_is_no_sweep(self):
@@ -255,6 +256,15 @@ class TestDiameter:
         net = RoadNetwork(5, [(u, u + 1, 1) for u in range(4)], [[0, 4]])
         net.embedding_table()
         assert net.diameter() == 4
+
+    def test_no_singleton_subset_seeds_from_node_0(self, monkeypatch):
+        # The embedding's column of {1, 3} is no sweep, so the bounds start
+        # from one sweep from node 0, which closes it; the highest upper
+        # bound is then node 4's and the lowest lower bound node 2's.
+        net = RoadNetwork(5, [(u, u + 1, 1) for u in range(4)], [[1, 3]])
+        calls = self.count_sweeps(monkeypatch)
+        assert net.diameter() == 4
+        assert calls == [frozenset({1, 3}), [0], [4], [2]]
 
     @staticmethod
     def count_sweeps(monkeypatch) -> list:
@@ -281,16 +291,23 @@ class TestDiameter:
 
     @pytest.mark.parametrize("s", range(1, 6))
     def test_embedding_sweeps_save_sweeps(self, s, monkeypatch):
+        # The diameter seeds its bounds from the embedding's columns, and
+        # builds the embedding if nothing has: alone it runs the dim columns
+        # and then the same bounding sweeps as after embedding_table(),
+        # which then runs none.
         seed = derive_seed(s, "network")
         alone = generate_grid_network(32, 32, (1, 9), seed=seed)
         embedded = generate_grid_network(32, 32, (1, 9), seed=seed)
         embedded.embedding_table()
         calls = self.count_sweeps(monkeypatch)
         diameter = alone.diameter()
-        own = len(calls)
+        own = list(calls)
         calls.clear()
         assert embedded.diameter() == diameter
-        assert len(calls) < own
+        assert own == list(alone.landmark_subsets) + calls
+        calls.clear()
+        assert alone.embedding_table() == embedded.embedding_table()
+        assert calls == []
 
 
 class TestEmbedding:

@@ -101,6 +101,18 @@ def test_traced_worker_keeps_the_report_and_counts_unique_checks():
     assert out["spans"]["roadnet.embedding_table"]["calls"] == 1
 
 
+def test_traced_city_merge_keeps_the_report_and_sweeps_once():
+    # The 32x32 set-up: 8 embedding columns seed the diameter's bounds and
+    # 10 bounding sweeps follow, each through the traced distances_from,
+    # and the embedding is built once. The merged ledger files all 12
+    # drivers of each of the 30 sessions through the traced record_matches.
+    out = run_worker("city_merge", traced=True)
+    assert out["report_sha256"] == dict(WORKLOADS)["city_merge"]
+    assert out["spans"]["roadnet.distances_from"]["calls"] == 18
+    assert out["spans"]["roadnet.embedding_table"]["calls"] == 1
+    assert out["spans"]["attack.record_matches"]["calls"] == 360
+
+
 def test_traced_fleet_keeps_the_report_and_attacks_once():
     # The fleet's one session recovers its thousand drivers inside the
     # traced run_attack; a renamed public name in attack.py fails here.
