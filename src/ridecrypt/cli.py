@@ -131,8 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
     out = options.pop("out", None)
-    if "weight_range" in options:
-        options["weight_range"] = tuple(options["weight_range"])
     try:
         config = ExperimentConfig(**options)
     except ValueError as exc:

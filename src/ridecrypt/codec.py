@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, read_int
 
 # Wire width of one signed payload, independent of block parameters.
 PAYLOAD_BYTES = 8
@@ -25,12 +25,14 @@ PAYLOAD_BYTES = 8
 @dataclass(frozen=True)
 class BlockParams:
     """Block geometry: ``block_bits`` bits per block, ``num_blocks`` blocks
-    per coordinate."""
+    per coordinate, each read with ``read_int`` and stored as an ``int``."""
 
     block_bits: int
     num_blocks: int
 
     def __post_init__(self) -> None:
+        for name, value in (("block_bits", self.block_bits), ("num_blocks", self.num_blocks)):
+            object.__setattr__(self, name, read_int(name, value))
         if not 1 <= self.block_bits <= 8:
             raise ValueError(f"block_bits must be in 1..8, got {self.block_bits}")
         if self.num_blocks < 1:

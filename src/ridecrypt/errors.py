@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer reader."""
+
+from operator import index
+
+
+def read_int(name: str, value) -> int:
+    """``value`` read with ``operator.index``, so integers and int-likes
+    such as numpy integers pass; anything else raises ``ValueError``
+    naming the field ``name`` rather than being truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 class CapacityError(ValueError):

@@ -33,7 +33,7 @@ from .crypto import (
     issue_system_keys,
     session_memo,
 )
-from .errors import CapacityError, LedgerFault, ProtocolFault
+from .errors import CapacityError, LedgerFault, ProtocolFault, read_int
 from .protocol import (
     RideContext,
     ServiceProvider,
@@ -48,7 +48,6 @@ from .roadnet import (
     generate_grid_network,
     load_network,
     randrange_batch,
-    read_int,
     rne_distance,
 )
 
@@ -79,10 +78,8 @@ GRID_DEFAULTS = {"dim": 8, "rows": 6, "cols": 6, "weight_range": (1, 9)}
 #: Config fields only the session modes read; table1 rejects them.
 SESSION_ONLY = ("num_drivers", "num_blocks", "network_file", *GRID_DEFAULTS)
 
-#: Integer config fields, besides the weight bounds, read with ``read_int``.
-_INT_FIELDS = (
-    "block_bits", "num_blocks", "dim", "rows", "cols", "num_drivers", "trials", "seed", "workers"
-)
+#: Integer config fields read with ``read_int``; ``check_grid`` reads the grid's.
+_INT_FIELDS = ("block_bits", "num_blocks", "dim", "num_drivers", "trials", "seed", "workers")
 
 #: Report keys of the fields that reports name by the paper's symbols;
 #: every other field keeps its own name.
@@ -211,7 +208,9 @@ class ExperimentConfig:
     derived from them. Frozen and checked when built, so a config that
     exists is valid; construction raises ``ValueError`` otherwise. Every
     integer field that is set is read with ``operator.index`` and stored as
-    an ``int``, so a numpy integer passes and ``1.5`` or ``"1"`` does not."""
+    an ``int``, so a numpy integer passes and ``1.5`` or ``"1"`` does not.
+    The grid fields are stored as ``check_grid`` returns them, and only
+    where a grid is built: table1 and a network file refuse them unread."""
 
     mode: str
     block_bits: int | None = None  # None: table1 runs all widths, sessions use 2
@@ -234,13 +233,13 @@ class ExperimentConfig:
             for name, default in GRID_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
+            grid = check_grid(self.rows, self.cols, self.weight_range)
+            for name, value in zip(("rows", "cols", "weight_range"), grid):
+                object.__setattr__(self, name, value)
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, read_int(name, value))
-        if self.weight_range is not None:
-            bounds = tuple(read_int("weight_range bound", b) for b in self.weight_range)
-            object.__setattr__(self, "weight_range", bounds)
         self.validate()
 
     def validate(self) -> None:
@@ -270,7 +269,6 @@ class ExperimentConfig:
             return
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must be in 1..{MAX_DIM}")
-        check_grid(self.rows, self.cols, self.weight_range)
 
     @property
     def resolved_block_bits(self) -> int:
@@ -552,6 +550,14 @@ def run_sessions(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return records, aggregate
 
 
+def _read_count(name: str, value) -> int:
+    """``value`` read with ``read_int`` and refused below 1."""
+    count = read_int(name, value)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def run_synthetic_sessions(
     block_bits: int,
     num_blocks: int,
@@ -566,9 +572,15 @@ def run_synthetic_sessions(
 
     Rider and driver vectors are drawn coordinate-wise uniform (equivalently:
     every block uniform), encrypted, matched, and attacked; each record
-    compares the recovery against ground truth.
+    compares the recovery against ground truth. Every integer argument is
+    read with ``read_int``, as ``ExperimentConfig`` reads its fields, and a
+    count below 1 is refused.
     """
     params = BlockParams(block_bits, num_blocks)
+    dim, num_drivers, sessions = map(
+        _read_count, ("dim", "num_drivers", "sessions"), (dim, num_drivers, sessions)
+    )
+    seed = read_int("seed", seed)
 
     def locate(s: int) -> tuple:
         ctx = RideContext(SYNTHETIC_ZONE, s % 2**32, params, dim)

@@ -32,7 +32,7 @@ from .crypto import (
     prf_h_batch,
     session_codebook,
 )
-from .errors import ProtocolFault, PrfCollisionError
+from .errors import ProtocolFault, PrfCollisionError, read_int
 
 # The payload pad is a slice of a PRF output.
 assert PRF_OUTPUT_BYTES >= PAYLOAD_BYTES
@@ -42,7 +42,8 @@ _PAYLOAD_SIGN = 1 << 8 * PAYLOAD_BYTES - 1
 
 @dataclass(frozen=True)
 class RideContext:
-    """Session scope shared by all parties of one matching round."""
+    """Session scope shared by all parties of one matching round; its
+    integer fields are stored as ``read_int`` reads them."""
 
     zone_id: int
     time_slot: int
@@ -50,6 +51,9 @@ class RideContext:
     dim: int
 
     def __post_init__(self) -> None:
+        ints = ("zone_id", self.zone_id), ("time_slot", self.time_slot), ("dim", self.dim)
+        for name, value in ints:
+            object.__setattr__(self, name, read_int(name, value))
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not 0 <= self.zone_id < 2**32:

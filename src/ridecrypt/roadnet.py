@@ -36,6 +36,8 @@ import sys
 from operator import index
 from typing import Iterable, Sequence
 
+from .errors import read_int
+
 RneVector = tuple[int, ...]
 
 _UNREACHED = -1
@@ -238,28 +240,24 @@ def rne_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return max((abs(x - y) for x, y in zip(a, b)), default=0)
 
 
-def read_int(name: str, value) -> int:
-    """``value`` read with ``operator.index``, so integers and int-likes
-    such as numpy integers pass; anything else raises ``ValueError``
-    naming the field ``name`` rather than being truncated."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
-
-
-def check_grid(rows: int, cols: int, weight_range: tuple[int, int]) -> None:
-    """Reject grid arguments :func:`generate_grid_network` cannot build.
-    Rows, columns and both weight bounds are read with :func:`read_int`,
-    as :class:`RoadNetwork` reads its node count."""
+def check_grid(rows, cols, weight_range) -> tuple[int, int, tuple[int, int]]:
+    """The grid arguments of :func:`generate_grid_network` as ``(rows, cols,
+    (lo, hi))``, each read with :func:`read_int` and checked: the one reader
+    of a grid, whose result the generator and ``ExperimentConfig`` store. A
+    ``weight_range`` that is not two items raises ``ValueError`` naming it."""
     rows, cols = read_int("rows", rows), read_int("cols", cols)
-    lo, hi = (read_int("weight_range bound", bound) for bound in weight_range)
+    try:
+        lo, hi = weight_range
+    except (TypeError, ValueError):
+        raise ValueError(f"weight_range {weight_range!r} is not a pair of bounds") from None
+    lo, hi = read_int("weight_range bound", lo), read_int("weight_range bound", hi)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
     if lo > hi:
         raise ValueError(f"empty weight range [{lo}, {hi}]")
     if lo < 0:
         raise ValueError("edge weights must be non-negative")
+    return rows, cols, (lo, hi)
 
 
 def randrange_batch(rng: random.Random, n: int, count: int) -> list[int]:
@@ -304,14 +302,15 @@ def generate_grid_network(
 
     Landmark subsets are singletons, drawn without replacement while the
     graph has enough nodes and with replacement otherwise (a one-node grid
-    still embeds).
+    still embeds). The grid arguments are read by :func:`check_grid`, and
+    ``seed`` and ``landmarks`` with :func:`read_int`.
     """
-    check_grid(rows, cols, weight_range)
-    lo, hi = weight_range
+    rows, cols, (lo, hi) = check_grid(rows, cols, weight_range)
+    landmarks = read_int("landmarks", landmarks)
     if landmarks < 1:
         raise ValueError("need at least one landmark subset")
 
-    rng = random.Random(seed)
+    rng = random.Random(read_int("seed", seed))
     num_nodes = rows * cols
     pairs = []
     for r in range(rows):

@@ -39,6 +39,26 @@ class TestBlockParams:
         with pytest.raises(ValueError):
             BlockParams(2, 4).weight(4)
 
+    @pytest.mark.parametrize(
+        "bits, count, message",
+        [
+            (2.0, 4, "block_bits 2.0 is not an integer"),
+            ("2", 4, "block_bits '2' is not an integer"),
+            (2, 4.0, "num_blocks 4.0 is not an integer"),
+            (2, "4", "num_blocks '4' is not an integer"),
+        ],
+    )
+    def test_non_integer_parameter_names_itself(self, bits, count, message):
+        # A float width would build and fail later, in split's shift.
+        with pytest.raises(ValueError, match=message):
+            BlockParams(bits, count)
+
+    def test_int_likes_are_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        params = BlockParams(np.int64(2), np.int8(4))
+        assert params == BlockParams(2, 4)
+        assert type(params.block_bits) is int and type(params.num_blocks) is int
+
 
 def _capacity_fault(call, *args):
     """The :class:`CapacityError` message a call raises, or None."""

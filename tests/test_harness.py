@@ -182,7 +182,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "rows,cols,weight_range",
-        [(0, 6, (1, 9)), (6, 0, (1, 9)), (6, 6, (5, 2)), (6, 6, (-1, 5))],
+        [
+            (0, 6, (1, 9)),
+            (6, 0, (1, 9)),
+            (6, 6, (5, 2)),
+            (6, 6, (-1, 5)),
+            (6, 6, 5),
+            (6, 6, (1, 5, 9)),
+            (6, 6, (1,)),
+        ],
     )
     def test_grid_rule_is_the_generators(self, rows, cols, weight_range):
         # A config that builds is a grid the generator can build: both
@@ -202,6 +210,9 @@ class TestConfigValidation:
             ({"rows": 2, "cols": "3"}, "cols '3' is not an integer"),
             ({"weight_range": (1, 9.5)}, "weight_range bound 9.5 is not an integer"),
             ({"weight_range": ("1", 9)}, "weight_range bound '1' is not an integer"),
+            ({"weight_range": 5}, "weight_range 5 is not a pair of bounds"),
+            ({"weight_range": (1, 5, 9)}, r"weight_range \(1, 5, 9\) is not a pair"),
+            ({"weight_range": (1,)}, r"weight_range \(1,\) is not a pair"),
         ],
     )
     def test_non_integer_grid_input_names_its_field(self, grid, message):
@@ -210,6 +221,11 @@ class TestConfigValidation:
         grid = {"rows": 3, "cols": 3, "weight_range": (1, 9), **grid}
         with pytest.raises(ValueError, match=message):
             generate_grid_network(grid["rows"], grid["cols"], grid["weight_range"])
+
+    @pytest.mark.parametrize("run", [{"mode": "table1"}, {"network_file": "city.txt"}])
+    def test_grid_field_a_run_does_not_take_is_refused_unread(self, run):
+        with pytest.raises(ValueError, match="does not take weight_range"):
+            ExperimentConfig(**{"mode": "end_to_end", **run, "weight_range": 5})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -484,6 +500,26 @@ class TestSyntheticSessions:
             block_bits=2, num_blocks=2, dim=2, num_drivers=1, sessions=4, seed=3
         )
         assert aggregate["sessions_fully_recovered"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_drivers", 2.5, "num_drivers 2.5 is not an integer"),
+            ("sessions", 2.0, "sessions 2.0 is not an integer"),
+            ("dim", "2", "dim '2' is not an integer"),
+            ("seed", 1.5, "seed 1.5 is not an integer"),
+            ("block_bits", 2.0, "block_bits 2.0 is not an integer"),
+            ("num_drivers", 0, "num_drivers must be >= 1"),
+            ("sessions", 0, "sessions must be >= 1"),
+            ("dim", 0, "dim must be >= 1"),
+        ],
+    )
+    def test_arguments_are_read_as_the_config_reads_them(self, field, value, message):
+        # At num_drivers=0 a session would run with no responder, and at
+        # sessions=0 the run would come back empty.
+        kwargs = dict(block_bits=1, num_blocks=2, dim=2, num_drivers=2, sessions=2, seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_synthetic_sessions(**{**kwargs, field: value})
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_session_fault_keeps_its_type(self, fault, monkeypatch):

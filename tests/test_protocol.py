@@ -56,6 +56,27 @@ def random_vector(rng, ctx):
     return tuple(rng.randrange(ctx.params.capacity) for _ in range(ctx.dim))
 
 
+class TestRideContext:
+    @pytest.mark.parametrize(
+        "zone, slot, dim, message",
+        [
+            (7, 0.5, 2, "time_slot 0.5 is not an integer"),
+            (7.0, 1, 2, "zone_id 7.0 is not an integer"),
+            (7, 1, 2.0, "dim 2.0 is not an integer"),
+            (7, 1, "2", "dim '2' is not an integer"),
+        ],
+    )
+    def test_non_integer_field_names_itself(self, zone, slot, dim, message):
+        with pytest.raises(ValueError, match=message):
+            RideContext(zone, slot, BlockParams(2, 2), dim)
+
+    def test_int_likes_are_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        ctx = RideContext(np.int64(11), np.uint32(5), BlockParams(2, 2), np.int8(2))
+        assert ctx == make_ctx()
+        assert [type(v) for v in (ctx.zone_id, ctx.time_slot, ctx.dim)] == [int, int, int]
+
+
 class TestRiderEncrypt:
     def test_entry_and_group_counts(self):
         ctx = make_ctx(block_bits=2, num_blocks=3, dim=4)

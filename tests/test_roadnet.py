@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -86,6 +87,28 @@ class TestGridGeneration:
     def test_small_graph_reuses_nodes_for_landmarks(self):
         net = generate_grid_network(1, 2, (1, 1), seed=7, landmarks=8)
         assert net.dim == 8
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("landmarks", 2.5), ("landmarks", "2"), ("landmarks", 2.0), ("seed", 1.5), ("seed", "1")],
+    )
+    def test_non_integer_argument_names_itself(self, field, value):
+        # A float or string seed would build a network silently, and "1" a
+        # different one from 1.
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+            generate_grid_network(3, 3, (1, 9), **{field: value})
+
+    def test_int_likes_build_the_same_network(self):
+        np = pytest.importorskip("numpy")
+        given = generate_grid_network(
+            np.int64(3),
+            np.int32(4),
+            (np.int8(1), np.int64(9)),
+            seed=np.int64(42),
+            landmarks=np.int16(5),
+        )
+        plain = generate_grid_network(3, 4, (1, 9), seed=42, landmarks=5)
+        assert format_network(given) == format_network(plain)
 
 
 class TestRandrangeBatch:

@@ -81,9 +81,17 @@ def run_worker(workload, traced):
     return out
 
 
-@pytest.mark.parametrize("workload", ["sessions_grid", "fleet_synthetic", "city_merge"])
+#: HMACs a workload's run computes at its HMAC floor, sessions * 4*n*m*2^l
+#: for (sessions, n, m, l) = (60, 8, 4, 2), (1, 8, 4, 4) and (30, 8, 8, 1):
+#: the rider's alone, as drivers and the provider reuse them.
+WORKLOAD_HMACS = {"sessions_grid": 30_720, "fleet_synthetic": 2_048, "city_merge": 15_360}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_HMACS)
 def test_benchmark_worker_checks_its_run(workload):
-    run_worker(workload, traced=False)
+    # Every HMAC computed is certified collision-free by the watchdog.
+    out = run_worker(workload, traced=False)
+    assert out["prf_evals"] == out["watchdog_tracked"] == WORKLOAD_HMACS[workload]
 
 
 def test_traced_worker_keeps_the_report_and_counts_unique_checks():
